@@ -5,14 +5,17 @@
 scan path.  A produce flows::
 
     produce(tenant, topic, values)
+      -> plan_batch                    (key groups, each key routed once)
       -> Backpressure.throttle         (sealed-slice lag gate, per stream)
       -> AdmissionController.admit     (token buckets + in-flight cap)
-      -> Producer.send_batch           (packs batches, per-key routing)
+      -> Producer.send_batch           (reuses the plan; packs the request
+                                        once, one view per key chunk)
            -> FairScheduler.submit     (per-tenant DRR queue)
     drain()
       -> FairScheduler.drain           (DRR dispatch order)
-           -> service.deliver          (worker -> stream object -> group
-                                        commit; the existing data path)
+           -> service.deliver          (worker -> stream object: the view
+                                        is copied into the open-slice
+                                        arena; full slices group-commit)
       -> SLOTracker.record_produce     (latency = queue + wait + service)
 
 The producer is the *unmodified* :class:`~repro.stream.producer.Producer`
@@ -48,7 +51,7 @@ from repro.serving.scheduler import (
 )
 from repro.serving.slo import SLOTracker
 from repro.serving.tenant import TenantRegistry
-from repro.stream.producer import Producer
+from repro.stream.producer import Producer, plan_batch
 from repro.stream.records import RECORDS_PER_SLICE, PackedRecordBatch
 from repro.stream.service import MessageStreamingService
 from repro.table.conversion import StreamTableConverter
@@ -194,19 +197,13 @@ class ServingFrontend:
         sequence state changes; on success the request's batches sit in
         the scheduler until :meth:`drain`.
         """
-        if keys is not None and len(keys) != len(values):
-            raise ValueError(f"got {len(values)} values but {len(keys)} keys")
         size_bytes = sum(len(value) for value in values)
-        # route the throttle check exactly as the producer will route the
-        # records: per-key stream groups (all-one-group when keyless)
-        route_key = self.service.dispatcher.route_key
+        # one routing plan serves the throttle check and the send: per-key
+        # stream groups (all-one-group when keyless), each key routed once
+        plan = plan_batch(self.service.dispatcher, topic, values, keys)
         per_stream: dict[str, int] = {}
-        if keys is None:
-            per_stream[route_key(topic, "")] = len(values)
-        else:
-            for key in keys:
-                stream_id = route_key(topic, key)
-                per_stream[stream_id] = per_stream.get(stream_id, 0) + 1
+        for _, stream_id, group in plan:
+            per_stream[stream_id] = per_stream.get(stream_id, 0) + len(group)
         throttle_delay = 0.0
         if topic in self._converters:
             # no converter => no reunion backlog to bound: backpressure
@@ -239,7 +236,7 @@ class ServingFrontend:
         self._current_pre_delay = ticket.delay_s + throttle_delay
         self._current_arrival = self.clock.now
         try:
-            producer.send_batch(topic, values, keys)
+            producer.send_batch(topic, values, keys, plan=plan)
         finally:
             self._current_ticket = None
         if ticket.outstanding == 0:

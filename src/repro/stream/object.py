@@ -21,6 +21,11 @@ Delivery guarantees implemented here (Section V-A):
 * transactional visibility — records carrying an uncommitted ``txn_id``
   are excluded from reads until the transaction manager marks them
   committed.
+
+The open slice is one packed arena (:class:`~repro.stream.records.SliceArena`):
+appends copy producer-packed header rows and varlen bytes into it, a full
+slice is framed by one :func:`~repro.stream.records.repack_slices` call,
+and open-slice reads decode only the records appended since the last read.
 """
 
 from __future__ import annotations
@@ -38,11 +43,12 @@ from repro.stream.records import (
     RECORDS_PER_SLICE,
     MessageRecord,
     PackedRecordBatch,
+    SliceArena,
     decode_slice,
     decode_slice_full,
-    encode_slice,
+    encode_records,
     encode_slice_legacy,
-    repack_slices,
+    packed_positions,
     slice_values,
 )
 
@@ -85,24 +91,6 @@ def _run_insert(state: list[list[int]], run: list[int]) -> None:
     state.insert(bisect_right(state, run[0], key=lambda r: r[0]), run)
 
 
-@dataclass
-class _Segment:
-    """A record range of a producer-packed buffer sitting in the open slice.
-
-    Packed batches are buffered as-is — the stream object never decodes
-    them on the write path.  ``start``/``stop`` are record indices into
-    the packed buffer.
-    """
-
-    data: bytes
-    start: int
-    stop: int
-
-    @property
-    def count(self) -> int:
-        return self.stop - self.start
-
-
 class StreamObject:
     """One partition's append-only record log backed by PLogs."""
 
@@ -116,13 +104,9 @@ class StreamObject:
         self._plogs = plogs
         self._clock = clock
         self._sealed: list[_SliceInfo] = []
-        #: open-slice buffer: MessageRecord and _Segment items, in offset
-        #: order.  Records are stamped lazily (see read); segments are
-        #: materialized only if the open slice is actually read.
-        self._open: list[MessageRecord | _Segment] = []
-        self._open_count = 0
-        self._open_segments = 0
-        #: offset of the first record buffered in _open
+        #: the open slice, packed
+        self._arena = SliceArena()
+        #: offset of the first record in the open slice
         self._open_base = 0
         self._next_offset = 0
         #: idempotence state per producer: sorted runs of consecutively
@@ -152,11 +136,12 @@ class StreamObject:
         records are duplicates, the original first offset is returned.
 
         A :class:`PackedRecordBatch` takes the zero-materialization path:
-        the pre-encoded buffer is deduplicated and sliced as a whole.  A
-        record list runs through one pass with the producer-state lookups
-        hoisted out of the loop.  Either way, every slice the batch fills
-        is sealed in a single group commit (one PLog append_batch, one EC
-        encode) at the end.
+        the view is deduplicated as a whole and its byte ranges are copied
+        into the open-slice arena.  A record list runs through one pass
+        with the producer-state lookups hoisted out of the loop, and its
+        accepted records are packed once and copied the same way.  Either
+        way, every slice the batch fills is sealed in a single group
+        commit (one PLog append_batch, one EC encode) at the end.
         """
         if isinstance(records, PackedRecordBatch):
             return self._append_packed(records)
@@ -165,13 +150,8 @@ class StreamObject:
         start = self._next_offset
         first_offset: int | None = None
         producer_state = self._producer_state
-        open_items = self._open
-        open_base = self._open_base
-        open_count = self._open_count
         next_offset = self._next_offset
-        appended = 0
-        appended_bytes = 0
-        full_slices: list[tuple[int, list[MessageRecord | _Segment]]] = []
+        accepted: list[MessageRecord] = []
         for record in records:
             pid = record.producer_id
             sequence = record.sequence
@@ -194,37 +174,22 @@ class StreamObject:
                         _run_insert(state, [sequence, next_offset, 1])
             if first_offset is None:
                 first_offset = next_offset
-            # records enter the open slice unstamped; their offsets are the
-            # consecutive run open_base + i, stamped into the wire format at
-            # seal time and onto the objects lazily when the open slice is
-            # read (avoids one clone per appended record)
-            open_items.append(record)
+            accepted.append(record)
             next_offset += 1
-            open_count += 1
-            appended += 1
-            appended_bytes += record.size_bytes
-            if open_count >= RECORDS_PER_SLICE:
-                full_slices.append((open_base, open_items))
-                open_base = next_offset
-                open_items = []
-                open_count = 0
-        self._open = open_items
-        self._open_base = open_base
-        self._open_count = open_count
-        if full_slices:
-            # anything left in the open buffer was appended after the last
-            # sealed slice, so it is records only
-            self._open_segments = 0
         self._next_offset = next_offset
-        self.records_appended += appended
-        self.bytes_appended += appended_bytes
-        cost = self._seal_slices(full_slices) if full_slices else 0.0
+        self.records_appended += len(accepted)
+        self.bytes_appended += sum(record.size_bytes for record in accepted)
+        cost = 0.0
+        if accepted:
+            # offsets are stamped into the wire format at seal time
+            data = encode_records(accepted)
+            cost = self._fill(data, packed_positions(data), 0, len(accepted))
         if first_offset is None:
             first_offset = start
         return first_offset, cost
 
     def _append_packed(self, batch: PackedRecordBatch) -> tuple[int, float]:
-        """Append a producer-packed buffer without materializing records."""
+        """Append a producer-packed view without materializing records."""
         n = batch.count
         if not n:
             raise ValueError("append requires at least one record")
@@ -246,106 +211,48 @@ class StreamObject:
                     # retry overlap: some sequence may already be applied,
                     # so fall back to the per-record dedupe path
                     return self.append(batch.records())
-        open_items = self._open
-        open_base = self._open_base
-        open_count = self._open_count
-        full_slices: list[tuple[int, list[MessageRecord | _Segment]]] = []
-        position = 0
-        while open_count + (n - position) >= RECORDS_PER_SLICE:
-            take = RECORDS_PER_SLICE - open_count
-            if take:
-                open_items.append(
-                    _Segment(batch.data, position, position + take)
-                )
-                position += take
-            full_slices.append((open_base, open_items))
-            open_base += RECORDS_PER_SLICE
-            open_items = []
-            open_count = 0
-        if position < n:
-            open_items.append(_Segment(batch.data, position, n))
-            open_count += n - position
-            self._open_segments = 1
-        elif full_slices:
-            self._open_segments = 0
-        self._open = open_items
-        self._open_base = open_base
-        self._open_count = open_count
         self._next_offset = next_offset + n
         self.records_appended += n
         self.bytes_appended += batch.wire_bytes
-        cost = self._seal_slices(full_slices) if full_slices else 0.0
+        cost = self._fill(batch.data, batch.positions, batch.start,
+                          batch.stop)
         return next_offset, cost
 
-    def _dedupe_offset(self, record: MessageRecord) -> int | None:
-        if not record.producer_id or record.sequence < 0:
-            return None
-        state = self._producer_state.get(record.producer_id)
-        return _run_lookup(state, record.sequence) if state else None
+    def _fill(self, data: bytes, positions: list[int], start: int,
+              stop: int) -> float:
+        """Copy records ``start..stop`` of a packed buffer into the open
+        slice; every slice they fill is sealed in one group commit."""
+        arena = self._arena
+        sealed: list[tuple[int, int, bytes]] = []
+        while start < stop:
+            take = min(RECORDS_PER_SLICE - arena.count, stop - start)
+            arena.put(data, positions, start, start + take)
+            start += take
+            if arena.count == RECORDS_PER_SLICE:
+                sealed.append(self._seal_open())
+        return self._commit(sealed) if sealed else 0.0
 
-    def _encode_slice_items(
-        self, items: list[MessageRecord | _Segment], base: int
-    ) -> bytes:
-        """Pack a slice's buffered items, stamping offsets from ``base``.
+    def _seal_open(self) -> tuple[int, int, bytes]:
+        """Encode the open slice: (base offset, record count, bytes);
+        the next open slice starts after it."""
+        base = self._open_base
+        count = self._arena.count
+        if self.codec == "binary":
+            # offsets are stamped straight into the wire format
+            encoded = self._arena.seal(base)
+        else:
+            encoded = encode_slice_legacy(self._arena.records(base))
+        self._arena.clear()
+        self._open_base = base + count
+        return base, count, encoded
 
-        Packed segments are merged byte-range-wise; contiguous record runs
-        are encoded once and merged the same way.  The common steady-state
-        case — one segment covering the whole slice — is a single
-        :func:`repack_slices` call.
-        """
-        pieces: list[tuple[bytes, int, int]] = []
-        run: list[MessageRecord] = []
-        for item in items:
-            if type(item) is _Segment:
-                if run:
-                    pieces.append((encode_slice(run), 0, len(run)))
-                    run = []
-                pieces.append((item.data, item.start, item.stop))
-            else:
-                run.append(item)
-        if not pieces:
-            return encode_slice(run, base_offset=base)
-        if run:
-            pieces.append((encode_slice(run), 0, len(run)))
-        return repack_slices(pieces, base)
-
-    @staticmethod
-    def _materialize(
-        items: list[MessageRecord | _Segment]
-    ) -> list[MessageRecord]:
-        """Expand buffered items into records (legacy seal / open reads)."""
-        records: list[MessageRecord] = []
-        for item in items:
-            if type(item) is _Segment:
-                decoded = decode_slice(item.data, start=item.start)
-                del decoded[item.stop - item.start:]
-                records.extend(decoded)
-            else:
-                records.append(item)
-        return records
-
-    def _seal_slices(
-        self, batches: list[tuple[int, list[MessageRecord | _Segment]]]
-    ) -> float:
-        """Group-commit ``batches`` (each (base offset, slice)) to PLogs."""
-        binary = self.codec == "binary"
+    def _commit(self, slices: list[tuple[int, int, bytes]]) -> float:
+        """Group-commit encoded ``slices`` (from :meth:`_seal_open`)."""
         ingest = stats.ingest_stats()
         items: list[tuple[str, bytes]] = []
         infos: list[_SliceInfo] = []
-        for start, batch in batches:
+        for start, count, encoded in slices:
             key = f"{self.object_id}/slice/{start}"
-            count = sum(
-                item.count if type(item) is _Segment else 1 for item in batch
-            )
-            if binary:
-                # offsets are stamped straight into the wire format
-                encoded = self._encode_slice_items(batch, start)
-            else:
-                materialized = self._materialize(batch)
-                encoded = encode_slice_legacy([
-                    r if r.offset == start + i else r.with_offset(start + i)
-                    for i, r in enumerate(materialized)
-                ])
             # slices compress before persistence: one of the stream object's
             # advantages over file-based logs (Section I "well store, compress")
             payload = zlib.compress(encoded, level=1)
@@ -377,15 +284,9 @@ class StreamObject:
 
     def flush(self) -> float:
         """Seal the open slice even if it is not full (shutdown/fsync)."""
-        if not self._open:
+        if not self._arena.count:
             return 0.0
-        batch = self._open
-        base = self._open_base
-        self._open = []
-        self._open_count = 0
-        self._open_segments = 0
-        self._open_base = self._next_offset
-        return self._seal_slices([(base, batch)])
+        return self._commit([self._seal_open()])
 
     # --- transaction visibility ----------------------------------------------
 
@@ -472,22 +373,9 @@ class StreamObject:
                 total_bytes += record.size_bytes
                 if len(out) >= max_records or total_bytes >= max_bytes:
                     return out, cost
-        if self._open_segments:
-            # a producer-packed segment is being read back before its
-            # slice sealed: expand the open buffer to records once
-            self._open = self._materialize(self._open)
-            self._open_segments = 0
-        open_records = self._open
         open_base = self._open_base
         start_index = offset - open_base if offset > open_base else 0
-        for index in range(start_index, len(open_records)):
-            record = open_records[index]
-            record_offset = open_base + index
-            if record.offset != record_offset:
-                # open records are buffered unstamped; stamp on first read
-                # and keep the clone so later reads are free
-                record = record.with_offset(record_offset)
-                open_records[index] = record
+        for record in self._arena.records(open_base)[start_index:]:
             txn = record.txn_id
             if txn is not None:
                 if txn in aborted:
@@ -552,15 +440,10 @@ class StreamObject:
                 if kind == "take":
                     values.append(record.value)
                 position = record.offset + 1
-        if self._open_segments:
-            self._open = self._materialize(self._open)
-            self._open_segments = 0
         open_base = self._open_base
         start_index = position - open_base if position > open_base else 0
-        for index in range(start_index, len(self._open)):
-            # open records may still be unstamped; their txn_id is all the
-            # classifier needs, so no clone happens here
-            record = self._open[index]
+        open_records = self._arena.records(open_base)[start_index:]
+        for index, record in enumerate(open_records, start_index):
             kind = self._classify(record, committed_only=True)
             if kind == "stop":
                 break

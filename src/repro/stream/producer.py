@@ -18,9 +18,34 @@ from __future__ import annotations
 
 import itertools
 
-from repro.stream.records import MessageRecord, pack_values
+from repro.stream.records import MessageRecord, pack_request
 
 _producer_ids = itertools.count()
+
+
+def plan_batch(dispatcher, topic: str, values: list[bytes],
+               keys: list[str] | None = None
+               ) -> list[tuple[str, str, list[bytes]]]:
+    """Group a request by key (all one group when keyless) and route
+    each distinct key once through ``dispatcher.route_key``.
+
+    Returns ``(key, stream_id, values)`` in first-appearance order of the
+    keys: the order :meth:`Producer.send_batch` delivers them in.
+    """
+    if keys is not None and len(keys) != len(values):
+        raise ValueError(f"got {len(values)} values but {len(keys)} keys")
+    if keys is None:
+        groups: dict[str, list[bytes]] = {"": values}
+    else:
+        groups = {}
+        for key, value in zip(keys, values):
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = []
+            group.append(value)
+    route_key = dispatcher.route_key
+    return [(key, route_key(topic, key), group)
+            for key, group in groups.items()]
 
 
 class Producer:
@@ -91,50 +116,37 @@ class Producer:
         return 0.0
 
     def send_batch(self, topic: str, values: list[bytes],
-                   keys: list[str] | None = None) -> float:
+                   keys: list[str] | None = None, *,
+                   plan: list[tuple[str, str, list[bytes]]] | None = None
+                   ) -> float:
         """Publish many messages in one call; returns simulated seconds.
 
-        The whole call is grouped by key, and each group is serialized
-        straight into the packed wire format (:func:`pack_values`) — no
-        per-record Python objects exist on this path.  Groups are shipped
-        in ``batch_size`` chunks so quota/bus accounting matches
-        :meth:`send`, and are delivered immediately (a batch IS a flush
-        for the records it carries); per-key record order is preserved.
+        The call is grouped by key and the whole request is packed once
+        into one buffer (:func:`pack_request`); each delivery is a view
+        of a record range of it.  Groups are shipped in ``batch_size``
+        chunks so quota/bus accounting matches :meth:`send`, and are
+        delivered immediately (a batch IS a flush for the records it
+        carries); per-key record order is preserved.  ``plan`` is this
+        request's :func:`plan_batch` when the caller already made it.
         """
-        if keys is not None and len(keys) != len(values):
-            raise ValueError(
-                f"got {len(values)} values but {len(keys)} keys"
-            )
+        if plan is None:
+            plan = plan_batch(self._service.dispatcher, topic, values, keys)
         if not values:
             return 0.0
-        if keys is None:
-            groups: dict[str, list[bytes]] = {"": values}
-        else:
-            groups = {}
-            for key, value in zip(keys, values):
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = []
-                group.append(value)
-        route_key = self._service.dispatcher.route_key
         deliver = self._service.deliver
-        now = self._service.clock.now
         txn_id = self._txn_id
-        producer_id = self.producer_id
-        chunk = max(self.batch_size, 1)
+        deliveries = pack_request(
+            topic, [(key, group) for key, _, group in plan],
+            self._service.clock.now, self.producer_id, self._sequence,
+            txn_id, self.batch_size,
+        )
         cost = 0.0
-        for key, group in groups.items():
-            stream_id = route_key(topic, key)
+        for (_, stream_id, _), batches in zip(plan, deliveries):
             # anything this producer buffered via send() must land first
             # to keep the per-stream record order
             cost += self._flush_stream(stream_id)
-            for start in range(0, len(group), chunk):
-                part = group[start:start + chunk]
-                batch = pack_values(
-                    topic, part, key, now, producer_id, self._sequence,
-                    txn_id,
-                )
-                self._sequence += len(part)
+            for batch in batches:
+                self._sequence = batch.base_sequence + batch.count
                 cost += deliver(stream_id, batch, txn_id)
         self.sent += len(values)
         return cost

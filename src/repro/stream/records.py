@@ -19,6 +19,14 @@ Two wire formats exist:
   nested length+CRC frames, concatenated per slice.  Decoders dispatch on
   the magic bytes, so slices persisted before the packed codec still read
   (:func:`decode_legacy`).
+
+On the ingest path a producer packs each request once
+(:func:`pack_request`) and hands the stream object views of record ranges
+of that buffer (:class:`PackedRecordBatch`).  The stream object copies the
+views' header rows and varlen bytes into its open slice
+(:class:`SliceArena`) and frames each full slice with one
+:func:`repack_slices` call, so per-buffer NumPy work is paid once per
+request and once per slice, not once per record.
 """
 
 from __future__ import annotations
@@ -139,7 +147,6 @@ def _encode_packed(records: list[MessageRecord],
     # fixed-width lengths live in small per-tuple LUTs expanded to
     # per-record columns with one fancy index each.
     memo: dict[tuple[str, str, str, str | None], tuple[int, bytes]] = {}
-    prefixes_len: list[int] = []
     topic_lens: list[int] = []
     key_lens: list[int] = []
     pid_lens: list[int] = []
@@ -163,7 +170,6 @@ def _encode_packed(records: list[MessageRecord],
             txn_b = b"" if meta_key[3] is None else meta_key[3].encode()
             prefix = topic_b + key_b + pid_b + txn_b
             meta = memo[meta_key] = (len(memo), prefix)
-            prefixes_len.append(len(prefix))
             topic_lens.append(len(topic_b))
             key_lens.append(len(key_b))
             pid_lens.append(len(pid_b))
@@ -177,7 +183,6 @@ def _encode_packed(records: list[MessageRecord],
         parts_append(meta[1])
         parts_append(value)
     mid = np.asarray(mids, dtype=np.intp)
-    vl = np.asarray(value_lens, dtype=np.int64)
     headers = np.empty(n, dtype=_HEADER_DTYPE)
     if offsets is None:
         headers["offset"] = np.arange(base_offset, base_offset + n,
@@ -190,16 +195,18 @@ def _encode_packed(records: list[MessageRecord],
     headers["key_len"] = np.asarray(key_lens, dtype=np.int64)[mid]
     headers["pid_len"] = np.asarray(pid_lens, dtype=np.int64)[mid]
     headers["txn_len"] = np.asarray(txn_lens, dtype=np.uint32)[mid]
-    headers["value_len"] = vl
-    sizes = np.asarray(prefixes_len, dtype=np.int64)[mid] + vl
-    starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        np.cumsum(sizes[:-1], out=starts[1:])
+    headers["value_len"] = value_lens
+    return _frame(headers, _record_starts(headers), b"".join(parts))
+
+
+def _frame(headers: np.ndarray, starts: np.ndarray,
+           body: bytes | bytearray) -> bytes:
+    """One packed buffer: header rows, their varlen-blob positions
+    (``starts``) and the blob, under one CRC."""
     header_bytes = headers.tobytes()
     index_bytes = starts.astype("<u4").tobytes()
-    body = b"".join(parts)
     crc = zlib.crc32(body, zlib.crc32(index_bytes, zlib.crc32(header_bytes)))
-    return (_BATCH_HEADER.pack(PACKED_MAGIC, n, crc)
+    return (_BATCH_HEADER.pack(PACKED_MAGIC, headers.shape[0], crc)
             + header_bytes + index_bytes + body)
 
 
@@ -211,16 +218,34 @@ def _decode_packed(data: bytes, start: int = 0) -> list[MessageRecord]:
     # truncation, so the per-record loop needs no bounds checks
     if zlib.crc32(memoryview(data)[_BATCH_HEADER.size:]) != crc:
         raise CorruptionError("packed batch checksum mismatch")
-    hdr_start = _BATCH_HEADER.size
-    expected = hdr_start + (_HEADER_DTYPE.itemsize + 4) * count
-    if len(data) < expected:
+    if len(data) < _BATCH_HEADER.size + (_HEADER_DTYPE.itemsize + 4) * count:
         raise CorruptionError("packed batch truncated")
-    headers = np.frombuffer(data, dtype=_HEADER_DTYPE, count=count,
-                            offset=hdr_start)
-    index = np.frombuffer(data, dtype="<u4", count=count,
-                          offset=hdr_start + _HEADER_DTYPE.itemsize * count)
-    blob_start = expected
-    # the whole header block converts to plain python columns in a few
+    _, headers, index, blob_start = _packed_parts(data)
+    return _decode_rows(data, headers[start:],
+                        index[start:].astype(np.int64) + blob_start)
+
+
+def _record_sizes(headers: np.ndarray) -> np.ndarray:
+    """Varlen bytes per record (topic + key + producer + txn + value)."""
+    txn_real = np.where(headers["txn_len"] == _NO_TXN, 0,
+                        headers["txn_len"])
+    return (headers["topic_len"].astype(np.int64) + headers["key_len"]
+            + headers["pid_len"] + txn_real + headers["value_len"])
+
+
+def _record_starts(headers: np.ndarray) -> np.ndarray:
+    """Each record's position in a back-to-back varlen blob."""
+    starts = np.zeros(headers.shape[0], dtype=np.int64)
+    if headers.shape[0] > 1:
+        np.cumsum(_record_sizes(headers[:-1]), out=starts[1:])
+    return starts
+
+
+def _decode_rows(data: bytes, headers: np.ndarray,
+                 starts: np.ndarray) -> list[MessageRecord]:
+    """Materialize records from header rows and each record's position
+    in ``data``."""
+    # the header rows convert to plain python columns in a few
     # vectorized passes; only string slicing remains per record
     offsets = headers["offset"].tolist()
     timestamps = headers["timestamp"].tolist()
@@ -229,18 +254,14 @@ def _decode_packed(data: bytes, start: int = 0) -> list[MessageRecord]:
     key_lens = headers["key_len"].tolist()
     txn_lens = headers["txn_len"].tolist()
     value_lens = headers["value_len"].tolist()
-    txn_real = np.where(headers["txn_len"] == _NO_TXN, 0,
-                        headers["txn_len"])
-    prefix_lens = (headers["topic_len"].astype(np.int64)
-                   + headers["key_len"] + headers["pid_len"]
-                   + txn_real).tolist()
-    starts = (index.astype(np.int64) + blob_start).tolist()
+    prefix_lens = (_record_sizes(headers) - headers["value_len"]).tolist()
+    starts = starts.tolist()
     # distinct (prefix bytes, lengths) tuples decode to strings once
     memo: dict[tuple[bytes, int, int, int], tuple[str, str, str, str | None]] = {}
     out: list[MessageRecord] = []
     append = out.append
     new = object.__new__
-    for i in range(start, count):
+    for i in range(len(starts)):
         position = starts[i]
         prefix_len = prefix_lens[i]
         praw = data[position:position + prefix_len]
@@ -278,29 +299,36 @@ def _decode_packed(data: bytes, start: int = 0) -> list[MessageRecord]:
 
 
 class PackedRecordBatch:
-    """A producer-side pre-encoded run of records bound for one stream.
+    """One delivery of producer-packed records bound for one stream.
 
-    The producer serializes a whole ``send_batch`` group straight into the
-    packed wire format (``pack_values``) — all records share topic, key,
-    producer and transaction, so the varlen prefix is built once and the
-    fixed-width header block is filled by vectorized NumPy column stores.
-    The stream object then splits/merges these buffers into slices with
-    :func:`repack_slices` instead of re-encoding record objects, so the
-    hot ingest path never runs per-record Python at all.
+    The producer packs a whole ``send_batch`` request into one buffer
+    (:func:`pack_request`); each per-key delivery is a view of the record
+    range ``start..stop`` of that shared buffer.  The parsed header rows
+    (``headers``) and each record's byte position in ``data`` plus the
+    end of the last record (``positions``) are computed once per buffer
+    and shared by its views, so the stream object copies a view into its
+    open slice with two byte-range copies.  Per-record Python runs only
+    where records are materialized: the idempotence-overlap fallback
+    (:meth:`records`) and reads of the open slice.
 
     ``base_sequence``..``base_sequence + count - 1`` are the (consecutive)
     producer sequences inside; the stream object uses them for batch-level
     idempotence checks.
     """
 
-    __slots__ = ("data", "count", "producer_id", "base_sequence", "txn_id",
-                 "wire_bytes")
+    __slots__ = ("data", "headers", "positions", "start", "stop", "count",
+                 "producer_id", "base_sequence", "txn_id", "wire_bytes")
 
-    def __init__(self, data: bytes, count: int, producer_id: str,
-                 base_sequence: int, txn_id: str | None,
+    def __init__(self, data: bytes, headers: np.ndarray,
+                 positions: list[int], start: int, stop: int,
+                 producer_id: str, base_sequence: int, txn_id: str | None,
                  wire_bytes: int) -> None:
         self.data = data
-        self.count = count
+        self.headers = headers
+        self.positions = positions
+        self.start = start
+        self.stop = stop
+        self.count = stop - start
         self.producer_id = producer_id
         self.base_sequence = base_sequence
         self.txn_id = txn_id
@@ -310,24 +338,41 @@ class PackedRecordBatch:
         return self.count
 
     def records(self) -> list[MessageRecord]:
-        """Materialize the batch (the slow path: dedupe conflicts only)."""
-        return _decode_packed(self.data)
+        """Materialize this view's records (the slow path: dedupe
+        conflicts only); the rest of the shared buffer is not decoded."""
+        return _decode_rows(
+            self.data, self.headers[self.start:self.stop],
+            np.asarray(self.positions[self.start:self.stop], dtype=np.int64),
+        )
 
 
-def pack_values(topic: str, values: list[bytes], key: str, timestamp: float,
-                producer_id: str, base_sequence: int,
-                txn_id: str | None) -> PackedRecordBatch:
-    """Encode ``values`` as one packed batch sharing all metadata.
+def pack_request(topic: str, groups: list[tuple[str, list[bytes]]],
+                 timestamp: float, producer_id: str, base_sequence: int,
+                 txn_id: str | None,
+                 chunk: int) -> list[list[PackedRecordBatch]]:
+    """Pack a produce request into one buffer; return its deliveries.
 
-    Offsets are left at -1; the stream object stamps them during
-    :func:`repack_slices` when the records are assigned to a slice.
+    ``groups`` are (key, values) runs in delivery order.  Their records go
+    into the buffer back-to-back with consecutive sequences from
+    ``base_sequence``; offsets are left at -1 for the stream object to
+    stamp when it seals them into a slice.  Returns, per group, views of
+    its records in runs of at most ``chunk``.
     """
-    n = len(values)
     topic_b = topic.encode()
-    key_b = key.encode()
     pid_b = producer_id.encode()
     txn_b = b"" if txn_id is None else txn_id.encode()
-    prefix = topic_b + key_b + pid_b + txn_b
+    values: list[bytes] = []
+    parts: list[bytes] = []
+    key_lens: list[int] = []
+    for key, group in groups:
+        key_b = key.encode()
+        # interleave prefix/value pairs without a per-record loop
+        run = [topic_b + key_b + pid_b + txn_b] * (2 * len(group))
+        run[1::2] = group
+        parts += run
+        values += group
+        key_lens.append(len(key_b))
+    n = len(values)
     value_lens = np.fromiter(map(len, values), dtype=np.int64, count=n)
     headers = np.empty(n, dtype=_HEADER_DTYPE)
     headers["offset"] = -1
@@ -335,25 +380,50 @@ def pack_values(topic: str, values: list[bytes], key: str, timestamp: float,
     headers["sequence"] = np.arange(base_sequence, base_sequence + n,
                                     dtype=np.int64)
     headers["topic_len"] = len(topic_b)
-    headers["key_len"] = len(key_b)
+    headers["key_len"] = np.repeat(key_lens, [len(g) for _, g in groups])
     headers["pid_len"] = len(pid_b)
     headers["txn_len"] = _NO_TXN if txn_id is None else len(txn_b)
     headers["value_len"] = value_lens
-    starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        np.cumsum(value_lens[:-1] + len(prefix), out=starts[1:])
-    # interleave prefix/value pairs without a per-record loop
-    parts: list[bytes] = [prefix] * (2 * n)
-    parts[1::2] = values
-    header_bytes = headers.tobytes()
-    index_bytes = starts.astype("<u4").tobytes()
+    starts = _record_starts(headers)
     body = b"".join(parts)
-    crc = zlib.crc32(body, zlib.crc32(index_bytes, zlib.crc32(header_bytes)))
-    data = (_BATCH_HEADER.pack(PACKED_MAGIC, n, crc)
-            + header_bytes + index_bytes + body)
-    wire_bytes = (len(key_b) + 48) * n + int(value_lens.sum())
-    return PackedRecordBatch(data, n, producer_id, base_sequence, txn_id,
-                             wire_bytes)
+    data = _frame(headers, starts, body)
+    positions = (starts + len(data) - len(body)).tolist() + [len(data)]
+    value_ends = [0] + np.cumsum(value_lens).tolist()
+    deliveries: list[list[PackedRecordBatch]] = []
+    first = 0
+    for (_, group), key_len in zip(groups, key_lens):
+        end = first + len(group)
+        views = []
+        for start in range(first, end, chunk):
+            stop = min(start + chunk, end)
+            views.append(PackedRecordBatch(
+                data, headers, positions, start, stop, producer_id,
+                base_sequence + start, txn_id,
+                (key_len + 48) * (stop - start)
+                + value_ends[stop] - value_ends[start],
+            ))
+        deliveries.append(views)
+        first = end
+    return deliveries
+
+
+def pack_values(topic: str, values: list[bytes], key: str, timestamp: float,
+                producer_id: str, base_sequence: int,
+                txn_id: str | None) -> PackedRecordBatch:
+    """Encode ``values`` (at least one) as one packed batch sharing all
+    metadata: a :func:`pack_request` of a single group and delivery."""
+    if not values:
+        raise ValueError("pack_values needs at least one value")
+    (views,) = pack_request(topic, [(key, values)], timestamp, producer_id,
+                            base_sequence, txn_id, len(values))
+    return views[0]
+
+
+def packed_positions(data: bytes) -> list[int]:
+    """Each record's byte position in a packed buffer, plus its end
+    (the ``positions`` of a :class:`PackedRecordBatch` over ``data``)."""
+    _, _, index, blob_start = _packed_parts(data)
+    return (index.astype(np.int64) + blob_start).tolist() + [len(data)]
 
 
 def _packed_parts(data: bytes) -> tuple[int, np.ndarray, np.ndarray, int]:
@@ -369,39 +439,76 @@ def _packed_parts(data: bytes) -> tuple[int, np.ndarray, np.ndarray, int]:
     return count, headers, index, blob_start
 
 
-def repack_slices(pieces: list[tuple[bytes, int, int]],
+def repack_slices(headers: np.ndarray, body: bytes | bytearray,
                   base_offset: int) -> bytes:
-    """Merge record ranges of packed buffers into one packed slice.
+    """Frame header rows and their varlen bytes as one packed slice.
 
-    ``pieces`` are (packed buffer, start record, stop record) ranges; the
-    result holds their records back-to-back with offsets stamped to the
-    consecutive run ``base_offset + i``.  Everything is NumPy column work
-    and bytes copies — no records are materialized.
+    ``headers`` are records' fixed-width header rows copied out of packed
+    buffers and ``body`` their varlen regions back-to-back (a
+    :class:`SliceArena`).  Offsets are stamped to the consecutive run
+    ``base_offset + i`` and the offset index is rebuilt from the header
+    lengths.  Everything is NumPy column work and bytes copies — no
+    records are materialized.
     """
-    head_arrays: list[np.ndarray] = []
-    index_arrays: list[np.ndarray] = []
-    blobs: list[bytes] = []
-    blob_total = 0
-    for data, start, stop in pieces:
-        count, headers, index, blob_start = _packed_parts(data)
-        first = int(index[start]) if start < count else 0
-        last = (int(index[stop]) if stop < count
-                else len(data) - blob_start)
-        head_arrays.append(headers[start:stop])
-        index_arrays.append(index[start:stop].astype(np.int64)
-                            - first + blob_total)
-        blobs.append(data[blob_start + first:blob_start + last])
-        blob_total += last - first
-    n = sum(a.shape[0] for a in head_arrays)
-    headers = np.concatenate(head_arrays)
-    headers["offset"] = np.arange(base_offset, base_offset + n,
+    headers["offset"] = np.arange(base_offset,
+                                  base_offset + headers.shape[0],
                                   dtype=np.int64)
-    header_bytes = headers.tobytes()
-    index_bytes = np.concatenate(index_arrays).astype("<u4").tobytes()
-    body = b"".join(blobs)
-    crc = zlib.crc32(body, zlib.crc32(index_bytes, zlib.crc32(header_bytes)))
-    return (_BATCH_HEADER.pack(PACKED_MAGIC, n, crc)
-            + header_bytes + index_bytes + body)
+    return _frame(headers, _record_starts(headers), body)
+
+
+class SliceArena:
+    """A stream object's open slice: up to 256 records, packed.
+
+    The header rows live in one preallocated block and the varlen bytes
+    in one blob, so appending records from a packed buffer is two
+    byte-range copies.  The offset index is not kept: it is the running
+    sum of the record sizes in the header rows, rebuilt when the slice is
+    sealed (:func:`repack_slices`) or read (:meth:`records`).  Records
+    decoded by a read are kept, so the next read decodes only the
+    records put since.
+    """
+
+    def __init__(self) -> None:
+        self._block = bytearray(RECORDS_PER_SLICE * _HEADER_DTYPE.itemsize)
+        self._rows = np.frombuffer(self._block, dtype=_HEADER_DTYPE)
+        self.clear()
+
+    def put(self, data: bytes, positions: list[int], start: int,
+            stop: int) -> None:
+        """Copy records ``start..stop`` of the packed buffer ``data``
+        (``positions`` as on :class:`PackedRecordBatch`)."""
+        size = _HEADER_DTYPE.itemsize
+        rows = _BATCH_HEADER.size + start * size
+        self._block[self.count * size:(self.count + stop - start) * size] = \
+            data[rows:rows + (stop - start) * size]
+        self._blob += data[positions[start]:positions[stop]]
+        self.count += stop - start
+
+    def seal(self, base_offset: int) -> bytes:
+        """The packed slice of every record held, offsets from
+        ``base_offset``."""
+        return repack_slices(self._rows[:self.count], self._blob,
+                             base_offset)
+
+    def clear(self) -> None:
+        self._blob = bytearray()
+        self._decoded: list[MessageRecord] = []
+        self.count = 0
+
+    def records(self, base_offset: int) -> list[MessageRecord]:
+        """The records held, record *i* at offset ``base_offset + i``."""
+        decoded = self._decoded
+        start = len(decoded)
+        if start < self.count:
+            rows = self._rows[start:self.count]
+            rows["offset"] = np.arange(base_offset + start,
+                                       base_offset + self.count,
+                                       dtype=np.int64)
+            starts = _record_starts(self._rows[:self.count])[start:]
+            first = int(starts[0])
+            decoded += _decode_rows(bytes(self._blob[first:]), rows,
+                                    starts - first)
+        return decoded
 
 
 def encode_slice(records: list[MessageRecord],
@@ -473,12 +580,8 @@ def slice_values(data: bytes, start: int = 0) -> tuple[list[bytes], bool]:
         raise CorruptionError("packed batch checksum mismatch")
     tail = headers[start:]
     has_txn = bool((tail["txn_len"] != _NO_TXN).any())
-    txn_real = np.where(tail["txn_len"] == _NO_TXN, 0, tail["txn_len"])
-    starts = (
-        index[start:].astype(np.int64) + blob_start
-        + tail["topic_len"] + tail["key_len"] + tail["pid_len"] + txn_real
-    ).astype(np.int64)
-    ends = starts + tail["value_len"]
+    ends = index[start:].astype(np.int64) + blob_start + _record_sizes(tail)
+    starts = ends - tail["value_len"]
     return [
         data[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())
     ], has_txn

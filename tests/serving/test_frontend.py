@@ -33,6 +33,24 @@ def test_produce_lands_after_drain(frontend, service):
     assert all(d.completed_at > d.started_at for d in dispatches)
 
 
+def test_produce_routes_each_distinct_key_once(frontend, service,
+                                               monkeypatch):
+    """The throttle check and the send share one routing plan."""
+    routed: list[str] = []
+    route_key = service.dispatcher.route_key
+
+    def counting(topic, key):
+        routed.append(key)
+        return route_key(topic, key)
+
+    monkeypatch.setattr(service.dispatcher, "route_key", counting)
+    keys = [f"k{i % 7}" for i in range(40)]
+    frontend.produce("alpha", "orders", [b"v" * 16] * 40, keys=keys)
+    frontend.drain()
+    assert sorted(routed) == sorted(set(keys))
+    assert landed(service, "orders") == 40
+
+
 def test_drain_advances_the_clock_to_last_completion(frontend, service):
     frontend.produce("alpha", "orders", [b"v" * 64] * 50)
     before = service.clock.now

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.stream.records import (
     MessageRecord,
+    SliceArena,
     decode_slice,
     decode_slice_full,
     encode_slice,
     encode_slice_legacy,
     is_packed,
     pack_values,
-    repack_slices,
 )
 
 unicode_text = st.text(max_size=24)
@@ -131,9 +131,10 @@ def test_repack_slices_equals_materialized_encode(left, right, base_offset,
     a_start = cut.draw(st.integers(min_value=0, max_value=len(left) - 1))
     a_stop = cut.draw(st.integers(min_value=a_start + 1, max_value=len(left)))
     b_stop = cut.draw(st.integers(min_value=1, max_value=len(right)))
-    merged = repack_slices(
-        [(a.data, a_start, a_stop), (b.data, 0, b_stop)], base_offset
-    )
+    arena = SliceArena()
+    arena.put(a.data, a.positions, a_start, a_stop)
+    arena.put(b.data, b.positions, 0, b_stop)
+    merged = arena.seal(base_offset)
     expected = a.records()[a_start:a_stop] + b.records()[:b_stop]
     expected = [
         record.with_offset(base_offset + i)
