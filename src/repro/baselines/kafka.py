@@ -108,11 +108,6 @@ class KafkaCluster:
             raise TopicNotFoundError(f"no partition {topic}[{index}]")
         return partition
 
-    def partitions_of(self, topic: str) -> int:
-        if topic not in self._topics:
-            raise TopicNotFoundError(f"no topic {topic!r}")
-        return self._topics[topic]
-
     # --- produce -----------------------------------------------------------------
 
     def produce(self, topic: str, index: int,

@@ -1,22 +1,19 @@
 """Per-shard execution contexts for the sharded data plane.
 
-The seed accumulated every counter in module-global singletons
-(``repro.common.stats.INGEST`` and friends) and shared one process-wide
-decoded-chunk cache, which caps the simulation at a single execution
-stream: two concurrent workers would interleave their counters and
-cache entries, and no per-shard result could ever be compared against a
-single-shard oracle.  The paper's deployment avoids exactly this by
-spreading slices over 4096 logical shards so the data plane scales out
-with nodes (Section IV-A / Fig 4(d)).
+Module-global counters and one process-wide decoded-chunk cache would
+cap the simulation at a single execution stream: two concurrent workers
+would interleave their counters and cache entries, and no per-shard
+result could ever be compared against a single-shard oracle.  The
+paper's deployment avoids exactly this by spreading slices over 4096
+logical shards so the data plane scales out with nodes (Section IV-A /
+Fig 4(d)).
 
 An :class:`ExecutionContext` bundles everything a data-plane worker
 mutates while processing its shard of the work:
 
-* the per-path counters (:class:`~repro.common.stats.IngestStats`,
-  :class:`~repro.common.stats.ConversionStats`,
-  :class:`~repro.common.stats.AggregationStats`,
-  :class:`~repro.common.stats.FaultStats`) and the named cache-counter
-  registry;
+* one instance of every counter family in
+  :data:`repro.common.stats.FAMILIES` (``context.ingest``,
+  ``context.faults``, ...) and the named cache-counter registry;
 * a slot for the decoded-chunk cache
   (:func:`repro.table.chunkcache.default_chunk_cache` creates it lazily
   per context, so shards never share LRU state);
@@ -29,15 +26,14 @@ mutates while processing its shard of the work:
 The *current* context is carried in a :class:`contextvars.ContextVar`,
 so worker threads (and forked worker processes) activate their shard's
 context without threading an argument through every call site; the
-module-level accessors in :mod:`repro.common.stats` resolve through it,
-which keeps the seed's ``ingest_stats()``-style call sites working
-unchanged.  A process-wide default context wraps the legacy globals so
-single-stream code (and every existing test) behaves exactly as before.
+accessors in :mod:`repro.common.stats` (``ingest_stats()`` and friends)
+resolve through it.  Single-stream code runs in a process-wide default
+context.
 
 Shard workers are created with :meth:`ExecutionContext.fork` and their
 results folded back with :meth:`ExecutionContext.merge`: every counter
-class is additive, so per-shard totals merged on join are value-identical
-to a single-shard run over the same work.
+family is additive, so per-shard totals merged on join are
+value-identical to a single-shard run over the same work.
 """
 
 from __future__ import annotations
@@ -49,15 +45,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.common.clock import SimClock
-from repro.common.stats import (
-    AggregationStats,
-    CacheStats,
-    ConversionStats,
-    FaultStats,
-    IngestStats,
-    JoinStats,
-    ServingStats,
-)
+from repro.common.stats import FAMILIES, CacheStats
 from repro.common.units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -98,52 +86,24 @@ class ExecutionContext:
     """Stats + cache + RNG + clock for one execution stream (shard)."""
 
     def __init__(self, name: str = "default", *,
-                 ingest: IngestStats | None = None,
-                 conversion: ConversionStats | None = None,
-                 aggregation: AggregationStats | None = None,
-                 faults: FaultStats | None = None,
-                 joins: JoinStats | None = None,
-                 serving: ServingStats | None = None,
-                 caches: dict[str, CacheStats] | None = None,
                  rng: random.Random | None = None,
                  clock: SimClock | None = None,
-                 chunk_cache_capacity: int | None = None,
                  cache_config: CacheConfig | None = None,
                  ) -> None:
         self.name = name
-        self.ingest = ingest if ingest is not None else IngestStats()
-        self.conversion = (
-            conversion if conversion is not None else ConversionStats()
-        )
-        self.aggregation = (
-            aggregation if aggregation is not None else AggregationStats()
-        )
-        self.faults = faults if faults is not None else FaultStats()
-        self.joins = joins if joins is not None else JoinStats()
-        self.serving = serving if serving is not None else ServingStats()
-        self.caches: dict[str, CacheStats] = (
-            caches if caches is not None else {}
-        )
+        # one plain attribute per family, so increments stay attribute stores
+        for family, counters in FAMILIES.items():
+            setattr(self, family, counters())
+        self.caches: dict[str, CacheStats] = {}
         self.rng = rng if rng is not None else random.Random(0)
         self.clock = clock if clock is not None else SimClock()
         self.cache_config = (
             cache_config if cache_config is not None else CacheConfig()
         )
-        if chunk_cache_capacity is not None:
-            self.cache_config.chunk_capacity_bytes = chunk_cache_capacity
         #: lazily created by :func:`repro.table.chunkcache.default_chunk_cache`
         self.chunk_cache: "ChunkCache | None" = None
         #: lazily created by :func:`repro.cache.hierarchy.default_hierarchy`
         self.cache_hierarchy: "CacheHierarchy | None" = None
-
-    @property
-    def chunk_cache_capacity(self) -> int:
-        """Decoded-chunk tier capacity in bytes (alias into the config)."""
-        return self.cache_config.chunk_capacity_bytes
-
-    @chunk_cache_capacity.setter
-    def chunk_cache_capacity(self, capacity: int) -> None:
-        self.cache_config.chunk_capacity_bytes = capacity
 
     def configure_caches(self, **changes: object) -> CacheConfig:
         """Reconfigure this context's cache tiers (per-context, not global).
@@ -192,36 +152,21 @@ class ExecutionContext:
         wave's elapsed sim time explicitly as an LPT makespan, which is
         the whole point of per-shard clocks.
         """
-        self.ingest.merge(other.ingest)
-        self.conversion.merge(other.conversion)
-        self.aggregation.merge(other.aggregation)
-        self.faults.merge(other.faults)
-        self.joins.merge(other.joins)
-        self.serving.merge(other.serving)
+        for family in FAMILIES:
+            getattr(self, family).merge(getattr(other, family))
         for name, stats in other.caches.items():
             self.cache_stats(name).merge(stats)
 
     def reset_stats(self) -> None:
         """Zero every counter (cache registry entries included)."""
-        self.ingest.reset()
-        self.conversion.reset()
-        self.aggregation.reset()
-        self.faults.reset()
-        self.joins.reset()
-        self.serving.reset()
+        for family in FAMILIES:
+            getattr(self, family).reset()
         for stats in self.caches.values():
             stats.reset()
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """All counters as plain dicts (bench/report serialization)."""
-        out: dict[str, dict[str, float]] = {
-            "ingest": self.ingest.snapshot(),
-            "conversion": self.conversion.snapshot(),
-            "aggregation": self.aggregation.snapshot(),
-            "faults": self.faults.snapshot(),
-            "joins": self.joins.snapshot(),
-            "serving": self.serving.snapshot(),
-        }
+        out = {family: getattr(self, family).snapshot() for family in FAMILIES}
         for name, stats in sorted(self.caches.items()):
             out[f"cache:{name}"] = stats.snapshot()
         return out
@@ -230,26 +175,7 @@ class ExecutionContext:
         return f"ExecutionContext({self.name!r}, now={self.clock.now:.6f})"
 
 
-def _make_default() -> ExecutionContext:
-    """The process-wide default context, wrapping the legacy globals.
-
-    Importing the globals here (rather than fresh instances) keeps the
-    seed's ``stats.INGEST``-style references and the context-routed
-    accessors pointing at the same objects.
-    """
-    from repro.common import stats as _stats
-
-    return ExecutionContext(
-        name="default",
-        ingest=_stats.INGEST,
-        conversion=_stats.CONVERSION,
-        aggregation=_stats.AGGREGATION,
-        faults=_stats.FAULTS,
-        caches=_stats.CACHES,
-    )
-
-
-_DEFAULT = _make_default()
+_DEFAULT = ExecutionContext("default")
 
 _CURRENT: ContextVar[ExecutionContext] = ContextVar(
     "repro_execution_context", default=_DEFAULT
@@ -257,18 +183,13 @@ _CURRENT: ContextVar[ExecutionContext] = ContextVar(
 
 
 def default_context() -> ExecutionContext:
-    """The process-wide default context (wraps the legacy globals)."""
+    """The process-wide default context."""
     return _DEFAULT
 
 
 def current_context() -> ExecutionContext:
     """The active context (the default unless one was activated)."""
     return _CURRENT.get()
-
-
-def activate_context(context: ExecutionContext) -> None:
-    """Make ``context`` current until replaced (worker-process entry)."""
-    _CURRENT.set(context)
 
 
 @contextmanager

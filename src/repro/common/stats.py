@@ -4,53 +4,68 @@
 (Welford's algorithm); :class:`Percentiles` stores samples for quantile
 reporting (latency p50/p99) — bench runs are small enough that storing is
 fine and exact quantiles beat sketches for reproducibility.
-:class:`CacheStats` counts hits/misses/evictions for the caches in the
-system (decoded-chunk cache, metadata cache).
 
-Counters are **per execution context** (see
-:mod:`repro.common.context`): the accessors (:func:`ingest_stats`,
-:func:`conversion_stats`, :func:`aggregation_stats`, :func:`fault_stats`,
-:func:`cache_stats`) resolve through the *current*
-:class:`~repro.common.context.ExecutionContext`, so a shard worker that
-activates its own context gets private counters that merge back on join.
-Every counter class is strictly additive and exposes :meth:`merge`, so
-per-shard totals folded together are value-identical to a single-stream
-run over the same work.
-
-The module-level singletons (:data:`INGEST`, :data:`CONVERSION`,
-:data:`AGGREGATION`, :data:`FAULTS`, :data:`CACHES`) are **deprecated**:
-they remain as the default context's instances so legacy references keep
-working, but new code must go through the accessors (CI greps for new
-imports of the globals outside this module).
+Every counter family is a :class:`Counters` declaration: a slotted
+dataclass whose fields are additive numbers (counts or accumulated
+seconds), from which ``merge``, ``reset`` and ``snapshot`` are derived.
+:data:`FAMILIES` names the families an
+:class:`~repro.common.context.ExecutionContext` carries (plus its named
+:class:`CacheStats` registry); a new family is one line there.  The
+accessors (:func:`ingest_stats`, :func:`cache_stats`, ...) resolve
+through the *current* context, so a shard worker that activates its own
+context gets private counters that merge back on join, value-identical
+to a single-stream run over the same work.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 
-class _AdditiveCounters:
-    """Mixin: fold another instance's counters in, attribute-wise.
+@dataclass(slots=True)
+class Counters:
+    """Base of the additive counter families.
 
-    Valid for the plain counter classes below — every instance attribute
-    is an additive number (counts or accumulated seconds), so a parallel
-    merge is plain addition and is associative and commutative.
+    Subclasses declare only their fields (all defaulting to zero) and
+    list in :attr:`DERIVED` the read-only properties :meth:`snapshot`
+    also reports.  Being slotted, a misspelled counter raises
+    :class:`AttributeError` instead of silently becoming a new field.
+    Every field is additive, so a parallel merge is plain addition —
+    associative and commutative.
     """
 
-    def merge(self, other: "_AdditiveCounters") -> None:
-        for name, value in vars(other).items():
-            setattr(self, name, getattr(self, name) + value)
+    DERIVED: ClassVar[tuple[str, ...]] = ()
+
+    def merge(self, other: "Counters") -> None:
+        """Fold another instance's counters in, field by field."""
+        for field in fields(self):
+            name = field.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def reset(self) -> None:
+        for field in fields(self):
+            setattr(self, field.name, field.default)
+
+    def snapshot(self) -> dict[str, float]:
+        out = {field.name: getattr(self, field.name) for field in fields(self)}
+        for name in self.DERIVED:
+            out[name] = getattr(self, name)
+        return out
 
 
-class CacheStats(_AdditiveCounters):
+@dataclass(slots=True)
+class CacheStats(Counters):
     """Hit/miss/eviction/rejection counters for one cache."""
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: entries refused admission (larger than the whole capacity)
-        self.rejections = 0
+    DERIVED: ClassVar[tuple[str, ...]] = ("hit_rate",)
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    #: entries refused admission (larger than the whole capacity)
+    rejections: int = 0
 
     @property
     def lookups(self) -> int:
@@ -74,41 +89,28 @@ class CacheStats(_AdditiveCounters):
     def record_rejection(self, count: int = 1) -> None:
         self.rejections += count
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.rejections = 0
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "rejections": self.rejections,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class IngestStats(_AdditiveCounters):
+@dataclass(slots=True)
+class IngestStats(Counters):
     """Counters for the stream ingestion path (produce -> seal -> EC).
 
-    The global :data:`INGEST` instance is incremented by the stream object
-    seal path and the Reed-Solomon codec; ``bench_ingest.py`` surfaces a
-    snapshot the way ``QueryStats`` surfaces cache hits.
+    Incremented by the stream object seal path, the PLog group commit
+    and the Reed-Solomon codec; ``bench_ingest.py`` surfaces a snapshot
+    the way ``QueryStats`` surfaces cache hits.
     """
 
-    def __init__(self) -> None:
-        self.records_appended = 0
-        self.slices_sealed = 0
-        self.bytes_encoded = 0        # slice bytes before compression
-        self.bytes_compressed = 0     # slice bytes handed to the PLogs
-        self.plog_group_commits = 0   # append_batch calls (group commits)
-        self.plog_appends_acked = 0   # appends indexed (acknowledged)
-        self.plog_bytes_acked = 0     # payload bytes behind those acks
-        self.ec_encode_calls = 0      # ReedSolomon.encode/encode_batch calls
-        self.ec_payloads_encoded = 0  # payloads erasure-coded in those calls
-        self.legacy_slices_decoded = 0
+    DERIVED: ClassVar[tuple[str, ...]] = ("compression_ratio",)
+
+    records_appended: int = 0
+    slices_sealed: int = 0
+    bytes_encoded: int = 0        # slice bytes before compression
+    bytes_compressed: int = 0     # slice bytes handed to the PLogs
+    plog_group_commits: int = 0   # append_batch calls (group commits)
+    plog_appends_acked: int = 0   # appends indexed (acknowledged)
+    plog_bytes_acked: int = 0     # payload bytes behind those acks
+    ec_encode_calls: int = 0      # ReedSolomon.encode/encode_batch calls
+    ec_payloads_encoded: int = 0  # payloads erasure-coded in those calls
+    legacy_slices_decoded: int = 0
 
     @property
     def compression_ratio(self) -> float:
@@ -117,168 +119,77 @@ class IngestStats(_AdditiveCounters):
             return 1.0
         return self.bytes_encoded / self.bytes_compressed
 
-    def reset(self) -> None:
-        self.__init__()
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "records_appended": self.records_appended,
-            "slices_sealed": self.slices_sealed,
-            "bytes_encoded": self.bytes_encoded,
-            "bytes_compressed": self.bytes_compressed,
-            "compression_ratio": self.compression_ratio,
-            "plog_group_commits": self.plog_group_commits,
-            "plog_appends_acked": self.plog_appends_acked,
-            "plog_bytes_acked": self.plog_bytes_acked,
-            "ec_encode_calls": self.ec_encode_calls,
-            "ec_payloads_encoded": self.ec_payloads_encoded,
-            "legacy_slices_decoded": self.legacy_slices_decoded,
-        }
-
-
-#: Deprecated: the default context's ingest counters (use :func:`ingest_stats`).
-INGEST = IngestStats()
-
-
-def ingest_stats() -> IngestStats:
-    """The current execution context's ingest counters."""
-    from repro.common.context import current_context
-
-    return current_context().ingest
-
-
-class ConversionStats(_AdditiveCounters):
+@dataclass(slots=True)
+class ConversionStats(Counters):
     """Counters for the stream->table conversion path (the reunion path).
 
-    The global :data:`CONVERSION` instance is incremented by
-    :class:`~repro.table.conversion.StreamTableConverter` and the
-    vectorized column builder; ``bench_reunion.py`` surfaces a snapshot
-    alongside the conversion throughput numbers.
+    Incremented by :class:`~repro.table.conversion.StreamTableConverter`
+    and the vectorized column builder; ``bench_reunion.py`` surfaces a
+    snapshot alongside the conversion throughput numbers.
     """
 
-    def __init__(self) -> None:
-        self.cycles = 0               # run_cycle calls that converted data
-        self.slices_consumed = 0      # sealed slices read whole via read_values
-        self.rows_converted = 0
-        self.rows_malformed = 0
-        self.batch_parses = 0         # whole-batch JSON parses that succeeded
-        self.row_parse_fallbacks = 0  # batches that fell back to per-row parse
-        self.validation_s = 0.0       # wall seconds in parse+validate+build
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "cycles": self.cycles,
-            "slices_consumed": self.slices_consumed,
-            "rows_converted": self.rows_converted,
-            "rows_malformed": self.rows_malformed,
-            "batch_parses": self.batch_parses,
-            "row_parse_fallbacks": self.row_parse_fallbacks,
-            "validation_s": self.validation_s,
-        }
+    cycles: int = 0               # run_cycle calls that converted data
+    slices_consumed: int = 0      # sealed slices read whole via read_values
+    rows_converted: int = 0
+    rows_malformed: int = 0
+    batch_parses: int = 0         # whole-batch JSON parses that succeeded
+    row_parse_fallbacks: int = 0  # batches that fell back to per-row parse
+    validation_s: float = 0.0     # wall seconds in parse+validate+build
 
 
-class FaultStats(_AdditiveCounters):
+@dataclass(slots=True)
+class FaultStats(Counters):
     """Counters for injected faults and the recovery work they trigger.
 
-    The global :data:`FAULTS` instance is incremented by the fault layer
-    (:mod:`repro.faults`) on the injection side and by the storage layer
-    (pool degraded reads, rebuild queue, bus) on the recovery side, so the
-    chaos tests can assert that recovery machinery actually ran — not just
-    that reads happened to succeed.
+    Incremented by the fault layer (:mod:`repro.faults`) on the
+    injection side and by the storage layer (pool degraded reads,
+    rebuild queue, bus) on the recovery side, so the chaos tests can
+    assert that recovery machinery actually ran — not just that reads
+    happened to succeed.
     """
 
-    def __init__(self) -> None:
-        # --- injected faults ---
-        self.disk_crashes = 0
-        self.sector_errors_injected = 0
-        self.fragments_erased = 0        # shard erasures injected into pools
-        self.torn_commits = 0            # group commits torn mid-batch
-        self.transfers_dropped = 0
-        self.link_slowdowns = 0
-        self.partitions = 0
-        # --- recovery work ---
-        self.degraded_reads = 0          # fetches that saw >= 1 missing fragment
-        self.sector_errors_detected = 0  # latent errors surfaced by a read/scrub
-        self.fragments_reconstructed = 0  # fragments rebuilt via ec.decode/repair
-        self.reconstructed_bytes = 0
-        self.rebuilds_completed = 0      # rebuild-queue ops that restored an extent
-        self.rebuild_retries = 0
-        self.rebuild_backoff_s = 0.0
-        self.rebuilds_exhausted = 0      # ops that gave up after bounded retries
-        self.transfer_timeouts = 0
-        self.disks_repaired = 0
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "disk_crashes": self.disk_crashes,
-            "sector_errors_injected": self.sector_errors_injected,
-            "fragments_erased": self.fragments_erased,
-            "torn_commits": self.torn_commits,
-            "transfers_dropped": self.transfers_dropped,
-            "link_slowdowns": self.link_slowdowns,
-            "partitions": self.partitions,
-            "degraded_reads": self.degraded_reads,
-            "sector_errors_detected": self.sector_errors_detected,
-            "fragments_reconstructed": self.fragments_reconstructed,
-            "reconstructed_bytes": self.reconstructed_bytes,
-            "rebuilds_completed": self.rebuilds_completed,
-            "rebuild_retries": self.rebuild_retries,
-            "rebuild_backoff_s": self.rebuild_backoff_s,
-            "rebuilds_exhausted": self.rebuilds_exhausted,
-            "transfer_timeouts": self.transfer_timeouts,
-            "disks_repaired": self.disks_repaired,
-        }
+    # --- injected faults ---
+    disk_crashes: int = 0
+    sector_errors_injected: int = 0
+    fragments_erased: int = 0        # shard erasures injected into pools
+    torn_commits: int = 0            # group commits torn mid-batch
+    transfers_dropped: int = 0
+    link_slowdowns: int = 0
+    partitions: int = 0
+    # --- recovery work ---
+    degraded_reads: int = 0          # fetches that saw >= 1 missing fragment
+    sector_errors_detected: int = 0  # latent errors surfaced by a read/scrub
+    fragments_reconstructed: int = 0  # fragments rebuilt via ec.decode/repair
+    reconstructed_bytes: int = 0
+    rebuilds_completed: int = 0      # rebuild-queue ops that restored an extent
+    rebuild_retries: int = 0
+    rebuild_backoff_s: float = 0.0
+    rebuilds_exhausted: int = 0      # ops that gave up after bounded retries
+    transfer_timeouts: int = 0
+    disks_repaired: int = 0
 
 
-class AggregationStats(_AdditiveCounters):
+@dataclass(slots=True)
+class AggregationStats(Counters):
     """Counters for the vectorized storage-side aggregation engine.
 
-    The global :data:`AGGREGATION` instance is incremented by
-    :mod:`repro.table.agg` (the GROUP BY kernel and footer fast path)
-    and by ``TableObject.select``; ``bench_agg.py`` surfaces a snapshot
-    the way ``bench_ingest.py`` surfaces :class:`IngestStats`.
+    Incremented by :mod:`repro.table.agg` (the GROUP BY kernel and
+    footer fast path) and by ``TableObject.select``; ``bench_agg.py``
+    surfaces a snapshot the way ``bench_ingest.py`` surfaces
+    :class:`IngestStats`.
     """
 
-    def __init__(self) -> None:
-        self.queries = 0                    # vectorized aggregate SELECTs
-        self.row_groups_aggregated = 0      # row groups reduced from data chunks
-        self.row_groups_footer_answered = 0  # answered from footer stats alone
-        self.rows_aggregated = 0            # rows folded into partials
-        self.partials_merged = 0            # group partials merged across files
-        self.groups_emitted = 0             # result groups shipped over the bus
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "queries": self.queries,
-            "row_groups_aggregated": self.row_groups_aggregated,
-            "row_groups_footer_answered": self.row_groups_footer_answered,
-            "rows_aggregated": self.rows_aggregated,
-            "partials_merged": self.partials_merged,
-            "groups_emitted": self.groups_emitted,
-        }
+    queries: int = 0                     # vectorized aggregate SELECTs
+    row_groups_aggregated: int = 0       # row groups reduced from data chunks
+    row_groups_footer_answered: int = 0  # answered from footer stats alone
+    rows_aggregated: int = 0             # rows folded into partials
+    partials_merged: int = 0             # group partials merged across files
+    groups_emitted: int = 0              # result groups shipped over the bus
 
 
-#: Deprecated: the default context's aggregation counters (use :func:`aggregation_stats`).
-AGGREGATION = AggregationStats()
-
-
-def aggregation_stats() -> AggregationStats:
-    """The current execution context's vectorized-aggregation counters."""
-    from repro.common.context import current_context
-
-    return current_context().aggregation
-
-
-class JoinStats(_AdditiveCounters):
+@dataclass(slots=True)
+class JoinStats(Counters):
     """Counters for the vectorized join engine and cost-based planner.
 
     Incremented by :mod:`repro.table.join` (build/probe kernel),
@@ -287,130 +198,98 @@ class JoinStats(_AdditiveCounters):
     snapshot alongside the join timings.
     """
 
-    def __init__(self) -> None:
-        self.joins_executed = 0       # hash_join kernel invocations
-        self.build_rows = 0           # rows folded into build sides
-        self.probe_rows = 0           # rows probed against build sides
-        self.matches_emitted = 0      # output index pairs produced
-        self.queries_planned = 0      # multi-table statements planned
-        self.plans_considered = 0     # join orders enumerated and costed
-        self.result_cache_hits = 0    # whole queries answered from cache
-        self.result_cache_misses = 0
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "joins_executed": self.joins_executed,
-            "build_rows": self.build_rows,
-            "probe_rows": self.probe_rows,
-            "matches_emitted": self.matches_emitted,
-            "queries_planned": self.queries_planned,
-            "plans_considered": self.plans_considered,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-        }
+    joins_executed: int = 0       # hash_join kernel invocations
+    build_rows: int = 0           # rows folded into build sides
+    probe_rows: int = 0           # rows probed against build sides
+    matches_emitted: int = 0      # output index pairs produced
+    queries_planned: int = 0      # multi-table statements planned
+    plans_considered: int = 0     # join orders enumerated and costed
+    result_cache_hits: int = 0    # whole queries answered from cache
+    result_cache_misses: int = 0
 
 
-def join_stats() -> JoinStats:
-    """The current execution context's join/planner counters."""
-    from repro.common.context import current_context
-
-    return current_context().joins
-
-
-class ServingStats(_AdditiveCounters):
+@dataclass(slots=True)
+class ServingStats(Counters):
     """Counters for the multi-tenant serving front end.
 
     Incremented by :mod:`repro.serving` — admission control
     (:class:`~repro.serving.admission.AdmissionController`), the
     deficit-round-robin scheduler
     (:class:`~repro.serving.scheduler.FairScheduler`), backpressure and
-    the SLO tracker.  Every field is additive, so per-shard serving
-    counters fold back through the context fork/merge algebra exactly
-    like the other stat families; ``bench_serving.py`` asserts the
-    merged sharded snapshot is value-identical to the serial one.
+    the SLO tracker; ``bench_serving.py`` asserts the merged sharded
+    snapshot is value-identical to the serial one.
     """
 
-    def __init__(self) -> None:
-        # --- admission control ---
-        self.requests_admitted = 0    # admit() calls that returned a ticket
-        self.records_admitted = 0
-        self.bytes_admitted = 0
-        self.queued_admissions = 0    # admissions that waited for tokens
-        self.queue_delay_s = 0.0      # total token-wait across admissions
-        self.rejected_quota = 0       # QuotaExceededError raised
-        self.rejected_inflight = 0    # AdmissionRejectedError: in-flight cap
-        # --- backpressure ---
-        self.throttle_events = 0      # produces refused or delayed by lag
-        self.throttle_delay_s = 0.0
-        # --- fair scheduler ---
-        self.batches_scheduled = 0    # batches dispatched by the DRR loop
-        self.bytes_scheduled = 0
-        self.scheduler_rounds = 0     # DRR tenant visits
-        # --- SLO tracking ---
-        self.slo_violations = 0       # latency samples above a tenant target
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "requests_admitted": self.requests_admitted,
-            "records_admitted": self.records_admitted,
-            "bytes_admitted": self.bytes_admitted,
-            "queued_admissions": self.queued_admissions,
-            "queue_delay_s": self.queue_delay_s,
-            "rejected_quota": self.rejected_quota,
-            "rejected_inflight": self.rejected_inflight,
-            "throttle_events": self.throttle_events,
-            "throttle_delay_s": self.throttle_delay_s,
-            "batches_scheduled": self.batches_scheduled,
-            "bytes_scheduled": self.bytes_scheduled,
-            "scheduler_rounds": self.scheduler_rounds,
-            "slo_violations": self.slo_violations,
-        }
+    # --- admission control ---
+    requests_admitted: int = 0    # admit() calls that returned a ticket
+    records_admitted: int = 0
+    bytes_admitted: int = 0
+    queued_admissions: int = 0    # admissions that waited for tokens
+    queue_delay_s: float = 0.0    # total token-wait across admissions
+    rejected_quota: int = 0       # QuotaExceededError raised
+    rejected_inflight: int = 0    # AdmissionRejectedError: in-flight cap
+    # --- backpressure ---
+    throttle_events: int = 0      # produces refused or delayed by lag
+    throttle_delay_s: float = 0.0
+    # --- fair scheduler ---
+    batches_scheduled: int = 0    # batches dispatched by the DRR loop
+    bytes_scheduled: int = 0
+    scheduler_rounds: int = 0     # DRR tenant visits
+    # --- SLO tracking ---
+    slo_violations: int = 0       # latency samples above a tenant target
 
 
-def serving_stats() -> ServingStats:
-    """The current execution context's serving front-end counters."""
+#: The counter families every execution context carries, by attribute
+#: name (the context's named :class:`CacheStats` registry comes on top).
+FAMILIES: dict[str, type[Counters]] = {
+    "ingest": IngestStats,
+    "conversion": ConversionStats,
+    "aggregation": AggregationStats,
+    "faults": FaultStats,
+    "joins": JoinStats,
+    "serving": ServingStats,
+}
+
+
+def _current():
     from repro.common.context import current_context
 
-    return current_context().serving
+    return current_context()
 
 
-#: Deprecated: the default context's fault counters (use :func:`fault_stats`).
-FAULTS = FaultStats()
-
-
-def fault_stats() -> FaultStats:
-    """The current execution context's fault/recovery counters."""
-    from repro.common.context import current_context
-
-    return current_context().faults
-
-
-#: Deprecated: the default context's conversion counters (use :func:`conversion_stats`).
-CONVERSION = ConversionStats()
+def ingest_stats() -> IngestStats:
+    """The current execution context's ingest counters."""
+    return _current().ingest
 
 
 def conversion_stats() -> ConversionStats:
     """The current execution context's stream->table conversion counters."""
-    from repro.common.context import current_context
-
-    return current_context().conversion
+    return _current().conversion
 
 
-#: Deprecated: the default context's cache-counter registry (use :func:`cache_stats`).
-CACHES: dict[str, CacheStats] = {}
+def aggregation_stats() -> AggregationStats:
+    """The current execution context's vectorized-aggregation counters."""
+    return _current().aggregation
+
+
+def fault_stats() -> FaultStats:
+    """The current execution context's fault/recovery counters."""
+    return _current().faults
+
+
+def join_stats() -> JoinStats:
+    """The current execution context's join/planner counters."""
+    return _current().joins
+
+
+def serving_stats() -> ServingStats:
+    """The current execution context's serving front-end counters."""
+    return _current().serving
 
 
 def cache_stats(name: str) -> CacheStats:
     """The current context's counters for the named cache (created on use)."""
-    from repro.common.context import current_context
-
-    return current_context().cache_stats(name)
+    return _current().cache_stats(name)
 
 
 class OnlineStats:

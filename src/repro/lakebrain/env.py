@@ -204,10 +204,6 @@ class CompactionEnv:
         sizes = [size for p in self.partitions for size in p.files]
         return block_utilization(sizes, self.config.block_size)
 
-    def mean_query_cost_per_step(self) -> float:
-        steps = max(1, self.step_index)
-        return self.total_query_cost / steps
-
 
 def _binpack_sizes(file_sizes: list[int], target: int) -> list[int]:
     """First-fit-decreasing binpack of file sizes into target-size files.

@@ -13,8 +13,8 @@ per-shard pieces:
 * ``AggregateState`` partials merge into the final state with
   ``counted=False`` (the single-process oracle only counts per-file
   merges, so merged counters stay value-identical);
-* per-shard ``AggregationStats`` / ``CacheStats`` fold into the parent
-  context additively;
+* each shard's execution-context counters fold into the parent context
+  with :meth:`~repro.common.context.ExecutionContext.merge`;
 * row results reassemble in scan-plan order from per-file indices.
 
 Results and merged counters are value-identical to the serial
@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.clock import SimClock
-from repro.common.context import ExecutionContext, current_context, use_context
-from repro.common.stats import AggregationStats, CacheStats, JoinStats, \
-    join_stats
+from repro.common.context import CacheConfig, ExecutionContext, \
+    current_context, use_context
+from repro.common.stats import join_stats
 from repro.parallel.executor import ShardPool
 from repro.parallel.partition import WorkPartitioner
 from repro.table.agg import AggregateState, aggregate_file, footer_answerable
@@ -50,7 +50,7 @@ from repro.table.expr import Expression
 from repro.table.join import ColumnSet, JoinResult, build_side, join_codes, \
     probe_codes
 from repro.table.pushdown import AggregateSpec, result_size_bytes
-from repro.table.table import QueryStats, TableObject
+from repro.table.table import QueryStats, TableObject, count_tier_lookups
 
 __all__ = [
     "ShardTask", "ShardResult", "ShardedQueryResult", "sharded_select",
@@ -77,7 +77,7 @@ class ShardTask:
     columns: list[str] | None
     seed: int
     clock_start: float
-    chunk_cache_capacity: int
+    chunk_capacity_bytes: int
 
 
 @dataclass
@@ -90,8 +90,8 @@ class ShardResult:
     row_groups_skipped: int
     state: AggregateState | None
     rows_by_file: dict[int, list[dict[str, object]]] | None
-    aggregation: AggregationStats
-    caches: dict[str, CacheStats]
+    #: the worker's context, carrying only its counters back
+    counters: ExecutionContext
 
 
 @dataclass
@@ -119,7 +119,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
         name=f"shard-{task.worker}",
         rng=random.Random(task.seed),
         clock=SimClock(start=task.clock_start),
-        chunk_cache_capacity=task.chunk_cache_capacity,
+        cache_config=CacheConfig(chunk_capacity_bytes=task.chunk_capacity_bytes),
     )
     started = time.perf_counter()
     rows_scanned = 0
@@ -149,6 +149,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
                 rows_by_file[position] = data_file.scan(
                     task.predicate, task.columns, cache=cache
                 )
+    context.chunk_cache = context.cache_hierarchy = None  # counters only
     return ShardResult(
         worker=task.worker,
         wall_s=time.perf_counter() - started,
@@ -156,24 +157,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
         row_groups_skipped=row_groups_skipped,
         state=state,
         rows_by_file=rows_by_file,
-        aggregation=context.aggregation,
-        caches=context.caches,
-    )
-
-
-def _fold_tier_deltas(stats: QueryStats, hierarchy,
-                      block_before: tuple[int, int],
-                      footer_before: tuple[int, int]) -> None:
-    """Charge this query's block/footer tier lookups to its stats."""
-    stats.block_cache_hits += hierarchy.blocks.stats.hits - block_before[0]
-    stats.block_cache_misses += (
-        hierarchy.blocks.stats.misses - block_before[1]
-    )
-    stats.footer_cache_hits += (
-        hierarchy.footers.stats.hits - footer_before[0]
-    )
-    stats.footer_cache_misses += (
-        hierarchy.footers.stats.misses - footer_before[1]
+        counters=context,
     )
 
 
@@ -188,7 +172,6 @@ def sharded_select(
     pool: ShardPool | None = None,
     stats: QueryStats | None = None,
     context: ExecutionContext | None = None,
-    chunk_cache_capacity: int | None = None,
 ) -> ShardedQueryResult:
     """SELECT over ``table`` with shard-parallel execution.
 
@@ -212,10 +195,7 @@ def sharded_select(
     candidates = table.scan_plan(predicate, as_of=as_of, stats=stats)
 
     hierarchy = table.cache_hierarchy
-    block_before = (hierarchy.blocks.stats.hits,
-                    hierarchy.blocks.stats.misses)
-    footer_before = (hierarchy.footers.stats.hits,
-                     hierarchy.footers.stats.misses)
+    fold_tier_lookups = count_tier_lookups(stats, hierarchy)
 
     if specs is not None and footer_answerable(specs, predicate):
         # Metadata fast path: the driver answers every file from the
@@ -242,7 +222,7 @@ def sharded_select(
                 final_state.merge(partial)
             context.aggregation.queries += 1
             output = final_state.rows()
-        _fold_tier_deltas(stats, hierarchy, block_before, footer_before)
+        fold_tier_lookups()
         stats.data_cost_s += sum(read_costs)
         stats.rows_returned = len(output)
         stats.bytes_transferred = result_size_bytes(output)
@@ -272,14 +252,10 @@ def sharded_select(
         read_costs.append(read_cost)
         stats.files_scanned += 1
         stats.bytes_scanned += meta.size_bytes
-    _fold_tier_deltas(stats, hierarchy, block_before, footer_before)
+    fold_tier_lookups()
 
     partitioner = WorkPartitioner(num_workers)
     buckets = partitioner.partition([meta.path for meta in candidates])
-    capacity = (
-        chunk_cache_capacity if chunk_cache_capacity is not None
-        else context.chunk_cache_capacity
-    )
     tasks = [
         ShardTask(
             worker=worker,
@@ -290,7 +266,7 @@ def sharded_select(
             columns=columns,
             seed=context.rng.randrange(2 ** 63),
             clock_start=context.clock.now,
-            chunk_cache_capacity=capacity,
+            chunk_capacity_bytes=context.cache_config.chunk_capacity_bytes,
         )
         for worker, bucket in enumerate(buckets)
         if bucket
@@ -321,14 +297,13 @@ def sharded_select(
                 final_state.merge(result.state, counted=False)
             if result.rows_by_file is not None:
                 rows_by_file.update(result.rows_by_file)
-            context.aggregation.merge(result.aggregation)
-            for name, cache_stats in result.caches.items():
-                context.cache_stats(name).merge(cache_stats)
-                # only the decoded-chunk tier runs shard-side; the block
-                # and footer tiers are driver-only and already charged
-                if name == "table.chunk_cache":
-                    stats.chunk_cache_hits += cache_stats.hits
-                    stats.chunk_cache_misses += cache_stats.misses
+            context.merge(result.counters)
+            # only the decoded-chunk tier runs shard-side; the block and
+            # footer tiers are driver-only and already charged
+            chunk = result.counters.caches.get("table.chunk_cache")
+            if chunk is not None:
+                stats.chunk_cache_hits += chunk.hits
+                stats.chunk_cache_misses += chunk.misses
         if final_state is not None:
             context.aggregation.queries += 1
             output = final_state.rows()
@@ -389,7 +364,8 @@ class JoinShardResult:
     wall_s: float
     probe_indices: np.ndarray
     build_indices: np.ndarray
-    joins: JoinStats
+    #: the worker's context, carrying only its counters back
+    counters: ExecutionContext
 
 
 def _run_join_shard(task: JoinShardTask) -> JoinShardResult:
@@ -415,7 +391,7 @@ def _run_join_shard(task: JoinShardTask) -> JoinShardResult:
         wall_s=time.perf_counter() - started,
         probe_indices=(probe_indices + task.start).astype(np.intp),
         build_indices=build_indices,
-        joins=context.joins,
+        counters=context,
     )
 
 
@@ -474,7 +450,7 @@ def sharded_hash_join(
             pool.close()
     results = sorted(results, key=lambda result: result.worker)
     for result in results:
-        context.joins.merge(result.joins)
+        context.merge(result.counters)
     if results:
         probe_indices = np.concatenate(
             [result.probe_indices for result in results]

@@ -153,12 +153,3 @@ class FunctionEngine:
             invocations.extend(self.tick())
             self._clock.advance(tick_every_s)
         return invocations
-
-    # --- accounting ------------------------------------------------------------------
-
-    def invocations_of(self, name: str) -> list[Invocation]:
-        return [inv for inv in self.history if inv.name == name]
-
-    @property
-    def total_busy_s(self) -> float:
-        return sum(inv.sim_seconds for inv in self.history)

@@ -80,13 +80,6 @@ class Backpressure:
             raise ValueError(f"negative lag {lag_slices!r}")
         self._lag[stream_id] = lag_slices
 
-    def observe_stream(self, stream_id: str, obj: StreamObject,
-                       converted_upto: int) -> int:
-        """Derive and record the lag from the object + frontier."""
-        lag = sealed_lag(obj, converted_upto)
-        self.observe(stream_id, lag)
-        return lag
-
     def lag_of(self, stream_id: str) -> int:
         return self._lag.get(stream_id, 0)
 

@@ -95,7 +95,3 @@ class TenantRegistry:
     def tenants(self) -> list[str]:
         """All tenant ids, sorted (the deterministic iteration order)."""
         return sorted(self._quotas)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(quota.weight for quota in self._quotas.values())

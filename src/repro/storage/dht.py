@@ -82,11 +82,6 @@ class ShardMap:
     def owners(self) -> list[str]:
         return list(self._owners)
 
-    def _winner(self, shard: int) -> str:
-        return max(
-            self._owners, key=lambda owner: int(self._weights[owner][shard])
-        )
-
     def add_owner(self, owner: str) -> int:
         """Register an owner; returns how many shards moved to it.
 

@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import itertools
 
-from repro.errors import StreamError
 from repro.storage.kv import KVEngine
 from repro.stream.object import ReadControl
 from repro.stream.records import MessageRecord
 from repro.stream.service import MessageStreamingService
-
-
-class GroupRebalancedError(StreamError):
-    """A fenced (stale-generation) member attempted an operation."""
 
 
 class GroupCoordinator:

@@ -116,7 +116,7 @@ class AcceleratedMetadataStore(MetadataStore):
         self.flushed_commits = 0
         #: commit manifests served from the KV write cache (hits) vs from
         #: MetaFresher merged files on disk (misses) — reported alongside
-        #: the decoded-chunk cache via repro.common.stats.CACHES
+        #: the decoded-chunk cache in the context's cache registry
         self.read_stats = cache_stats("table.meta_cache")
 
     def record_commit(self, table_path: str, commit: CommitFile,

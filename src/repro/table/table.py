@@ -21,6 +21,7 @@ UPDATE / DROP over columnar data files in a storage pool, with:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -84,6 +85,21 @@ class QueryStats:
     @property
     def total_cost_s(self) -> float:
         return self.metadata_cost_s + self.data_cost_s
+
+
+def count_tier_lookups(stats: QueryStats,
+                       hierarchy: CacheHierarchy) -> Callable[[], None]:
+    """Read the block/footer tier counters now; the returned callable
+    charges the lookups made since then to ``stats``."""
+    blocks, footers = hierarchy.blocks.stats, hierarchy.footers.stats
+    before = (blocks.hits, blocks.misses, footers.hits, footers.misses)
+
+    def fold() -> None:
+        stats.block_cache_hits += blocks.hits - before[0]
+        stats.block_cache_misses += blocks.misses - before[1]
+        stats.footer_cache_hits += footers.hits - before[2]
+        stats.footer_cache_misses += footers.misses - before[3]
+    return fold
 
 
 #: Makespan of I/O tasks over N workers — now shared with the sharded
@@ -476,10 +492,7 @@ class TableObject:
         hierarchy = self._hierarchy
         hits_before = cache.stats.hits
         misses_before = cache.stats.misses
-        block_before = (hierarchy.blocks.stats.hits,
-                        hierarchy.blocks.stats.misses)
-        footer_before = (hierarchy.footers.stats.hits,
-                         hierarchy.footers.stats.misses)
+        fold_tier_lookups = count_tier_lookups(stats, hierarchy)
         # metadata fast path: footer-answerable aggregates never need the
         # payload — a footer-tier hit answers a whole file with zero IO
         footer_only = state is not None and footer_answerable(
@@ -520,18 +533,7 @@ class TableObject:
                 rows.extend(data_file.scan(predicate, columns, cache=cache))
         stats.chunk_cache_hits += cache.stats.hits - hits_before
         stats.chunk_cache_misses += cache.stats.misses - misses_before
-        stats.block_cache_hits += (
-            hierarchy.blocks.stats.hits - block_before[0]
-        )
-        stats.block_cache_misses += (
-            hierarchy.blocks.stats.misses - block_before[1]
-        )
-        stats.footer_cache_hits += (
-            hierarchy.footers.stats.hits - footer_before[0]
-        )
-        stats.footer_cache_misses += (
-            hierarchy.footers.stats.misses - footer_before[1]
-        )
+        fold_tier_lookups()
         stats.data_cost_s += _parallel_read_time(read_costs, read_parallelism)
         if memory_budget_bytes is not None and not self.metadata_accelerated:
             # aggregates hold group partials, never rows, on the compute side
@@ -580,10 +582,7 @@ class TableObject:
         hierarchy = self._hierarchy
         hits_before = cache.stats.hits
         misses_before = cache.stats.misses
-        block_before = (hierarchy.blocks.stats.hits,
-                        hierarchy.blocks.stats.misses)
-        footer_before = (hierarchy.footers.stats.hits,
-                         hierarchy.footers.stats.misses)
+        fold_tier_lookups = count_tier_lookups(stats, hierarchy)
         read_costs: list[float] = []
         parts: list[ColumnSet] = []
         for meta in candidates:
@@ -603,18 +602,7 @@ class TableObject:
             )
         stats.chunk_cache_hits += cache.stats.hits - hits_before
         stats.chunk_cache_misses += cache.stats.misses - misses_before
-        stats.block_cache_hits += (
-            hierarchy.blocks.stats.hits - block_before[0]
-        )
-        stats.block_cache_misses += (
-            hierarchy.blocks.stats.misses - block_before[1]
-        )
-        stats.footer_cache_hits += (
-            hierarchy.footers.stats.hits - footer_before[0]
-        )
-        stats.footer_cache_misses += (
-            hierarchy.footers.stats.misses - footer_before[1]
-        )
+        fold_tier_lookups()
         stats.data_cost_s += _parallel_read_time(read_costs, read_parallelism)
         self._clock.advance(stats.data_cost_s)
         if not parts:

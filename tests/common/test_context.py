@@ -1,25 +1,16 @@
-"""Execution contexts: per-shard counter routing and the legacy default."""
+"""Execution contexts: per-shard counter routing, fork/merge and snapshots."""
 
 import threading
 
 from repro.common import stats
 from repro.common.context import (
+    CacheConfig,
     ExecutionContext,
     current_context,
     default_context,
     use_context,
 )
 from repro.table.chunkcache import default_chunk_cache
-
-
-def test_default_context_wraps_legacy_globals():
-    context = default_context()
-    assert current_context() is context
-    assert stats.ingest_stats() is stats.INGEST
-    assert stats.conversion_stats() is stats.CONVERSION
-    assert stats.aggregation_stats() is stats.AGGREGATION
-    assert stats.fault_stats() is stats.FAULTS
-    assert stats.cache_stats("ctx.test_cache") is stats.CACHES["ctx.test_cache"]
 
 
 def test_use_context_isolates_counters():
@@ -83,7 +74,9 @@ def test_fork_rng_deterministic():
 
 
 def test_chunk_cache_is_per_context():
-    one = ExecutionContext(name="one", chunk_cache_capacity=8)
+    one = ExecutionContext(
+        name="one", cache_config=CacheConfig(chunk_capacity_bytes=8)
+    )
     two = ExecutionContext(name="two")
     cache_one = default_chunk_cache(one)
     cache_two = default_chunk_cache(two)
@@ -100,3 +93,55 @@ def test_reset_stats_clears_every_counter():
     context.reset_stats()
     assert context.ingest.slices_sealed == 0
     assert context.cache_stats("x").misses == 0
+
+
+def test_snapshot_shape_is_pinned():
+    """Every family and key a snapshot reports, derived keys included.
+
+    Benches read these keys by name, so a renamed or dropped counter
+    must fail here rather than silently read as missing.
+    """
+    context = ExecutionContext(name="shape")
+    context.cache_stats("x")
+    shape = {family: set(keys) for family, keys in context.snapshot().items()}
+    assert shape == {
+        "ingest": {
+            "records_appended", "slices_sealed", "bytes_encoded",
+            "bytes_compressed", "compression_ratio", "plog_group_commits",
+            "plog_appends_acked", "plog_bytes_acked", "ec_encode_calls",
+            "ec_payloads_encoded", "legacy_slices_decoded",
+        },
+        "conversion": {
+            "cycles", "slices_consumed", "rows_converted", "rows_malformed",
+            "batch_parses", "row_parse_fallbacks", "validation_s",
+        },
+        "aggregation": {
+            "queries", "row_groups_aggregated", "row_groups_footer_answered",
+            "rows_aggregated", "partials_merged", "groups_emitted",
+        },
+        "faults": {
+            "disk_crashes", "sector_errors_injected", "fragments_erased",
+            "torn_commits", "transfers_dropped", "link_slowdowns",
+            "partitions", "degraded_reads", "sector_errors_detected",
+            "fragments_reconstructed", "reconstructed_bytes",
+            "rebuilds_completed", "rebuild_retries", "rebuild_backoff_s",
+            "rebuilds_exhausted", "transfer_timeouts", "disks_repaired",
+        },
+        "joins": {
+            "joins_executed", "build_rows", "probe_rows", "matches_emitted",
+            "queries_planned", "plans_considered", "result_cache_hits",
+            "result_cache_misses",
+        },
+        "serving": {
+            "requests_admitted", "records_admitted", "bytes_admitted",
+            "queued_admissions", "queue_delay_s", "rejected_quota",
+            "rejected_inflight", "throttle_events", "throttle_delay_s",
+            "batches_scheduled", "bytes_scheduled", "scheduler_rounds",
+            "slo_violations",
+        },
+        "cache:x": {"hits", "misses", "evictions", "rejections", "hit_rate"},
+    }
+    assert list(context.snapshot()) == [
+        "ingest", "conversion", "aggregation", "faults", "joins", "serving",
+        "cache:x",
+    ]

@@ -9,10 +9,12 @@ driver exercises — ``OnlineStats``, the additive counter classes
 """
 
 import math
+from dataclasses import fields
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.stats import CacheStats, IngestStats, OnlineStats
+from repro.common.stats import FAMILIES, CacheStats, OnlineStats
 from repro.table.agg import AggregateState, aggregate_file
 from repro.table.columnar import ColumnarFile
 from repro.table.pushdown import AggregateSpec, execute_pushdown_multi
@@ -82,23 +84,44 @@ def test_cache_stats_folding_equals_totals(shards):
     assert total.evictions == sum(e for _, _, e in shards)
 
 
-@given(st.lists(counter_values, min_size=3, max_size=3),
-       st.lists(counter_values, min_size=3, max_size=3),
-       st.lists(counter_values, min_size=3, max_size=3))
-def test_additive_counters_merge_is_associative(a, b, c):
-    def build(values) -> IngestStats:
-        shard = IngestStats()
-        shard.slices_sealed, shard.messages_ingested, shard.batches = values
+COUNTER_CLASSES = [*FAMILIES.values(), CacheStats]
+
+
+@given(data=st.data())
+def test_additive_counters_merge_is_associative(data):
+    """(a + b) + c == a + (b + c) over every field of every counter class
+    (each ``FAMILIES`` class plus ``CacheStats``), with random values."""
+    def build(counters):
+        shard = counters()
+        for field in fields(shard):
+            label = f"{counters.__name__}.{field.name}"
+            setattr(shard, field.name, data.draw(counter_values, label))
         return shard
 
-    left = build(a)
-    left.merge(build(b))
-    left.merge(build(c))
-    bc = build(b)
-    bc.merge(build(c))
-    right = build(a)
-    right.merge(bc)
-    assert vars(left) == vars(right)
+    for counters in COUNTER_CLASSES:
+        a, b, c = build(counters), build(counters), build(counters)
+        left = counters()
+        for shard in (a, b, c):
+            left.merge(shard)
+        bc = counters()
+        bc.merge(b)
+        bc.merge(c)
+        right = counters()
+        right.merge(a)
+        right.merge(bc)
+        assert left == right
+        for field in fields(left):
+            assert getattr(left, field.name) == sum(
+                getattr(shard, field.name) for shard in (a, b, c)
+            )
+
+
+@pytest.mark.parametrize("counters", COUNTER_CLASSES,
+                         ids=lambda cls: cls.__name__)
+def test_misspelled_counter_raises(counters):
+    """Counter classes are slotted: a typo is an error, not a new field."""
+    with pytest.raises(AttributeError):
+        counters().not_a_counter = 1
 
 
 # --- AggregateState: sharded combination equals the unsharded oracle -------

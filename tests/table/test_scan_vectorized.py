@@ -206,7 +206,7 @@ def test_chunk_cache_is_bounded_by_bytes():
     # half the working set: the scan must evict, never exceed capacity
     cache = ChunkCache(capacity=working_set // 2)
     data_file.scan(cache=cache)
-    assert 0 < cache.used_bytes <= cache.capacity
+    assert 0 < cache.used_bytes <= cache.capacity_bytes
     assert len(cache) < 8
     assert cache.stats.evictions > 0
 
@@ -233,19 +233,5 @@ def test_configure_default_cache_registers_stats():
     with use_context(context):
         context.configure_caches(chunk_capacity_bytes=64 * MiB)
         cache = default_chunk_cache()
-        assert cache.capacity == 64 * MiB
+        assert cache.capacity_bytes == 64 * MiB
         assert cache_stats("table.chunk_cache") is cache.stats
-
-
-def test_configure_chunk_cache_is_deprecated():
-    from repro.table import chunkcache
-
-    context = ExecutionContext(name="cache-deprecated")
-    with use_context(context):
-        # via getattr: the helper only survives for back-compat and CI
-        # greps direct imports of it
-        legacy = getattr(chunkcache, "configure_chunk_cache")
-        with pytest.warns(DeprecationWarning):
-            cache = legacy(64 * MiB)
-        assert cache.capacity == 64 * MiB
-        assert cache is default_chunk_cache()
