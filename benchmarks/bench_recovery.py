@@ -11,16 +11,23 @@ Two scenarios over an RS(4+2) pool on 8 simulated NVMe disks:
   verifying byte-identical results and measuring the reconstruction
   penalty (wall time, since GF(2^8) decode is real CPU in this repro).
 
-Results land in ``BENCH_recovery.json``; ``--smoke`` shrinks the data
-set for CI's chaos-smoke job.
+Results land in ``BENCH_recovery.json`` with an ``env`` block (commit,
+Python/NumPy versions, cores available) so a changed number can be told
+apart from a changed machine; ``--smoke`` shrinks the data set for CI's
+chaos-smoke job.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.bench import ResultTable
 from repro.common import stats
@@ -34,6 +41,27 @@ from repro.storage.redundancy import erasure_coding_policy
 NUM_EXTENTS = 64
 EXTENT_BYTES = 1 << 20
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_recovery.json"
+
+
+def _environment() -> dict:
+    """Where the numbers were measured: commit, versions, cores."""
+    root = RESULT_PATH.parent
+    try:
+        # "-dirty" marks a run from a working tree with uncommitted edits;
+        # the ceiling keeps git from answering for an enclosing repository
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=root, capture_output=True, text=True, timeout=30, check=True,
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)},
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown (not a git checkout)"
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cores_available": len(os.sched_getaffinity(0)),
+    }
 
 
 def _build_pool(num_extents: int, extent_bytes: int):
@@ -137,6 +165,7 @@ def run_recovery_bench(num_extents: int = NUM_EXTENTS,
     rebuild = _bench_rebuild(num_extents, extent_bytes)
     degraded = _bench_degraded_reads(num_extents, extent_bytes)
     results = {
+        "env": _environment(),
         "num_extents": num_extents,
         "extent_bytes": extent_bytes,
         "policy": "RS(4+2) over 8 NVMe disks",

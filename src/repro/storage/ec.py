@@ -12,12 +12,14 @@ The construction is the classic one used by jerasure/ISA-L:
 2. make it systematic (top ``k`` rows = identity) by multiplying with the
    inverse of its top square block, so data shards are stored verbatim;
 3. encode: parity rows of the matrix times the data;
-4. decode: gather any ``k`` surviving rows of the matrix, invert that
-   square matrix, multiply by the surviving shards.
+4. decode: take the first ``k`` surviving rows of the matrix, invert
+   once per survivor set (cached), compute only the erased rows; surviving
+   data shards pass through verbatim, and a repair builds one fragment.
 
-Field arithmetic uses exp/log tables (generator polynomial 0x11D) with
-NumPy-vectorized elementwise multiplication, which keeps encode/decode of
-multi-megabyte shards fast enough for the benchmarks.
+Field arithmetic uses exp/log tables (generator polynomial 0x11D) and a
+256 x 256 product table; one kernel, :func:`_gf_combine`, XOR-accumulates
+one table-row gather per nonzero coefficient, as ISA-L and klauspost
+``reedsolomon`` do with their per-coefficient multiply tables.
 """
 
 from __future__ import annotations
@@ -49,16 +51,9 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _EXP, _LOG = _build_tables()
 
-# Padded log/exp pair for branch-free vectorized products: log(0) maps to
-# 512, and the exp table's tail is zero, so any sum involving a zero
-# operand (>= 512) looks up 0 without a mask pass.  Valid nonzero sums are
-# at most 254 + 254 = 508.
-_LOG_PAD = _LOG.astype(np.int32).copy()
-_LOG_PAD[0] = 512
-_EXP_PAD = np.zeros(1025, dtype=np.uint8)
-_EXP_PAD[:510] = _EXP[:510]
 #: full GF(2^8) product table (256 x 256, 64 KiB): _MUL[a, b] = a * b
-_MUL = _EXP_PAD[_LOG_PAD[:, None] + _LOG_PAD[None, :]]
+_MUL = np.zeros((256, 256), dtype=np.uint8)
+_MUL[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -82,11 +77,6 @@ def gf_pow(a: int, n: int) -> int:
     if a == 0:
         return 0
     return int(_EXP[(_LOG[a] * n) % 255])
-
-
-def _vec_mul(scalar: int, vector: np.ndarray) -> np.ndarray:
-    """scalar * vector over GF(2^8): one gather from the product table."""
-    return _MUL[scalar][vector]
 
 
 def _matrix_invert(matrix: np.ndarray,
@@ -116,44 +106,34 @@ def _matrix_invert(matrix: np.ndarray,
         if pivot_row != col:
             work[[col, pivot_row]] = work[[pivot_row, col]]
             inverse[[col, pivot_row]] = inverse[[pivot_row, col]]
-        pivot_inv = gf_inv(int(work[col, col]))
-        work[col] = _vec_mul(pivot_inv, work[col])
-        inverse[col] = _vec_mul(pivot_inv, inverse[col])
+        pivot_inv = _MUL[gf_inv(int(work[col, col]))]
+        work[col] = pivot_inv[work[col]]
+        inverse[col] = pivot_inv[inverse[col]]
         for row in range(size):
             if row == col or work[row, col] == 0:
                 continue
-            factor = int(work[row, col])
-            work[row] ^= _vec_mul(factor, work[col])
-            inverse[row] ^= _vec_mul(factor, inverse[col])
+            factor = _MUL[work[row, col]]
+            work[row] ^= factor[work[col]]
+            inverse[row] ^= factor[inverse[col]]
     return inverse
 
 
-#: cap on the (rows * k * block) broadcast temporary of one _matmul step
-_MATMUL_BLOCK_ELEMS = 1 << 23
+def _gf_combine(coefficients: np.ndarray,
+                sources: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """(rows x n) coefficients times n equal-length source rows, GF(2^8).
 
-
-def _matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
-    """(rows x k) matrix times (k x length) shard block over GF(2^8).
-
-    A single product-table broadcast replaces the seed's per-(row, col)
-    Python loop: ``_MUL[matrix[:, :, None], shards[None, :, :]]`` gathers
-    every (row, col) scalar-vector product at once (the table bakes the
-    log/exp arithmetic, zero operands included), and an XOR reduction over
-    the ``k`` axis sums them.  The shard-length axis is blocked so the
-    (rows, k, block) intermediate stays bounded for multi-MB shards.
+    Each output row is an XOR-accumulate of ``_MUL[c].take(source)`` (one
+    gather through the product table's row for ``c``) over its
+    coefficients: a zero coefficient is skipped and a one is a plain XOR,
+    so no temporary larger than one row is ever built.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
-    shards = np.ascontiguousarray(shards, dtype=np.uint8)
-    rows, k = matrix.shape
-    length = shards.shape[1]
-    out = np.empty((rows, length), dtype=np.uint8)
-    if rows == 0 or length == 0:
-        return out
-    block = max(1, _MATMUL_BLOCK_ELEMS // max(1, rows * k))
-    for start in range(0, length, block):
-        segment = shards[:, start:start + block]     # (k, b)
-        products = _MUL[matrix[:, :, None], segment[None, :, :]]
-        out[:, start:start + block] = np.bitwise_xor.reduce(products, axis=1)
+    out = np.zeros((len(coefficients), len(sources[0])), dtype=np.uint8)
+    for row, coefficient_row in zip(out, coefficients.tolist()):
+        for c, source in zip(coefficient_row, sources):
+            if c == 1:
+                row ^= source
+            elif c:
+                row ^= _MUL[c].take(source)
     return out
 
 
@@ -175,6 +155,8 @@ class ReedSolomon:
         self.k = data_shards
         self.m = parity_shards
         self.matrix = self._systematic_matrix(self.k, self.m)
+        #: decode inverse per survivor set (at most C(k+m, k) entries)
+        self._inverses: dict[tuple[int, ...], np.ndarray] = {}
 
     @staticmethod
     def _systematic_matrix(k: int, m: int) -> np.ndarray:
@@ -184,9 +166,7 @@ class ReedSolomon:
             for col in range(k):
                 vandermonde[row, col] = gf_pow(row + 1, col)
         top_inverse = _matrix_invert(vandermonde[:k])
-        systematic = _matmul(
-            vandermonde, top_inverse.astype(np.uint8).reshape(k, k)
-        )
+        systematic = _gf_combine(vandermonde, top_inverse)
         # sanity: top block must be identity after the transform
         assert np.array_equal(systematic[:k], np.eye(k, dtype=np.uint8))
         return systematic
@@ -212,14 +192,8 @@ class ReedSolomon:
         The payload is zero-padded to a multiple of k; callers must remember
         the original length for :meth:`decode`.
         """
-        ingest = stats.ingest_stats()
-        ingest.ec_encode_calls += 1
-        ingest.ec_payloads_encoded += 1
-        data_block = self._data_block(data)
-        parity_block = _matmul(self.matrix[self.k :], data_block)
-        shards = [data_block[i].tobytes() for i in range(self.k)]
-        shards.extend(parity_block[i].tobytes() for i in range(self.m))
-        return shards
+        self.count_batch_encode(1)
+        return self._encode_blocks([self._data_block(data)])[0]
 
     @staticmethod
     def count_batch_encode(payload_count: int) -> None:
@@ -237,11 +211,11 @@ class ReedSolomon:
 
     def encode_batch(self, payloads: list[bytes], *,
                      counted: bool = True) -> list[list[bytes]]:
-        """Encode many payloads with one parity matmul.
+        """Encode many payloads with one parity kernel call.
 
         The per-payload data blocks (each ``(k, shard_len_i)``) are stacked
         along the shard-length axis into one ``(k, sum(shard_len_i))``
-        matrix, so N slice seals pay for one broadcast setup instead of N.
+        matrix, so N slice seals pay for one kernel call instead of N.
         Shard lengths per payload are identical to per-payload
         :meth:`encode`.  ``counted=False`` skips the stats charge (see
         :meth:`count_batch_encode`).
@@ -250,9 +224,11 @@ class ReedSolomon:
             return []
         if counted:
             self.count_batch_encode(len(payloads))
-        blocks = [self._data_block(payload) for payload in payloads]
+        return self._encode_blocks([self._data_block(p) for p in payloads])
+
+    def _encode_blocks(self, blocks: list[np.ndarray]) -> list[list[bytes]]:
         stacked = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-        parity_all = _matmul(self.matrix[self.k :], stacked)
+        parity_all = _gf_combine(self.matrix[self.k :], stacked)
         out: list[list[bytes]] = []
         cursor = 0
         for block in blocks:
@@ -264,11 +240,8 @@ class ReedSolomon:
             cursor += length
         return out
 
-    def decode(self, shards: list[bytes | None], data_length: int) -> bytes:
-        """Recover the original payload from any >= k surviving shards.
-
-        ``shards`` lists all k+m positions with ``None`` at erasures.
-        """
+    def _survivors(self, shards: list[bytes | None]) -> list[int]:
+        """The first k surviving shard positions; raises when fewer survive."""
         if len(shards) != self.k + self.m:
             raise ValueError(
                 f"expected {self.k + self.m} shard slots, got {len(shards)}"
@@ -282,24 +255,51 @@ class ReedSolomon:
                 f"RS({self.k}+{self.m}) tolerates",
                 failed_shards=lost,
             )
-        chosen = survivors[: self.k]
+        return survivors[: self.k]
+
+    def _data_rows(self, shards: list[bytes | None], chosen: list[int],
+                   rows: list[int]) -> list[np.ndarray]:
+        """Data shards ``rows``: survivors verbatim, erased ones computed
+        from their rows of the survivor set's inverse.  The inverse is
+        cached read-only per set (a concurrent miss only recomputes it; a
+        singular set raises every time and is never cached)."""
+        sources = [np.frombuffer(shards[i], dtype=np.uint8)  # type: ignore[arg-type]
+                   for i in chosen]
+        if any(len(source) != len(sources[0]) for source in sources):
+            raise ValueError("surviving shards have inconsistent lengths")
+        # every surviving data shard is among the first k survivors
+        out = dict(zip(chosen, sources))
+        lost = [row for row in rows if row not in out]
+        if lost:
+            inverse = self._inverses.get(tuple(chosen))
+            if inverse is None:
+                inverse = _matrix_invert(self.matrix[chosen], shard_set=chosen)
+                inverse.setflags(write=False)
+                self._inverses[tuple(chosen)] = inverse
+            out.update(zip(lost, _gf_combine(inverse[lost], sources)))
+        return [out[row] for row in rows]
+
+    def decode(self, shards: list[bytes | None], data_length: int) -> bytes:
+        """Recover the original payload from any >= k surviving shards.
+
+        ``shards`` lists all k+m positions with ``None`` at erasures.
+        """
+        chosen = self._survivors(shards)
         if chosen == list(range(self.k)):
             # fast path: all data shards intact
             data = b"".join(shards[i] for i in range(self.k))  # type: ignore[misc]
             return data[:data_length]
-        length = len(shards[chosen[0]])  # type: ignore[arg-type]
-        sub_matrix = self.matrix[chosen]
-        sub_shards = np.stack(
-            [np.frombuffer(shards[i], dtype=np.uint8) for i in chosen]  # type: ignore[arg-type]
-        )
-        if sub_shards.shape[1] != length:
-            raise ValueError("surviving shards have inconsistent lengths")
-        decode_matrix = _matrix_invert(sub_matrix, shard_set=chosen)
-        recovered = _matmul(decode_matrix, sub_shards)
-        return recovered.reshape(-1).tobytes()[:data_length]
+        data = self._data_rows(shards, chosen, list(range(self.k)))
+        return b"".join(data)[:data_length]
 
     def reconstruct_shard(self, shards: list[bytes | None], index: int,
                           data_length: int) -> bytes:
-        """Rebuild a single lost shard (repair path after a disk failure)."""
-        data = self.decode(shards, data_length)
-        return self.encode(data)[index]
+        """Rebuild the one shard at ``index`` (repair after a disk failure),
+        byte-identical to ``encode(original)[index]``: a data shard from
+        its inverse row, a parity shard as its matrix row times the data
+        rows.  ``data_length`` is implied by the shard length."""
+        chosen = self._survivors(shards)
+        if index < self.k:
+            return self._data_rows(shards, chosen, [index])[0].tobytes()
+        data = self._data_rows(shards, chosen, list(range(self.k)))
+        return _gf_combine(self.matrix[index : index + 1], data)[0].tobytes()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.context import ExecutionContext, use_context
 from repro.errors import CapacityError, ObjectNotFoundError, UnrecoverableDataError
 from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.pool import StoragePool
@@ -141,6 +142,25 @@ def test_repair_disk_restores_redundancy():
     victim2 = others[1]
     victim2.fail()
     assert pool.fetch("k")[0] == b"repairable" * 200
+
+
+def test_repairs_are_not_counted_as_ingest_encodes():
+    """Rebuilding a fragment is repair work, not stream ingestion: the
+    ingest EC counters stay put while the pool's repair counters move."""
+    pool = make_pool(erasure_coding_policy(4, 2))
+    data = bytes(range(256)) * 40
+    pool.store("k", data)
+    holders = [d for d in pool.disks if d.used_bytes > 0]
+    with use_context(ExecutionContext(name="repair")) as context:
+        holders[0].fail()
+        assert pool.rebuild_extent("k") == 1
+        holders[1].fail()
+        assert pool.repair_disk(holders[1].disk_id) == 1
+    assert context.ingest.ec_encode_calls == 0
+    assert context.ingest.ec_payloads_encoded == 0
+    assert pool.stats.rebuilds == 1
+    assert pool.stats.repairs == 1
+    assert pool.fetch("k")[0] == data
 
 
 def test_repair_healthy_disk_raises():
