@@ -56,7 +56,7 @@ def _make(kind: str, flush_threshold: int = 256):
     if kind == "file":
         return FileMetadataStore(pool, clock)
     return AcceleratedMetadataStore(
-        KVEngine("kv", clock), pool, clock, flush_threshold=flush_threshold
+        KVEngine("kv"), pool, clock, flush_threshold=flush_threshold
     )
 
 

@@ -194,7 +194,7 @@ def _build_table(context: ExecutionContext, num_files: int,
     lake = Lakehouse(
         pool, bus, clock,
         meta_store=AcceleratedMetadataStore(
-            KVEngine("meta", clock), pool, clock
+            KVEngine("meta"), pool, clock
         ),
         context=context,
     )

@@ -40,7 +40,7 @@ def _build_store(kind: str, pool: StoragePool, clock: SimClock):
     if kind == "file":
         return FileMetadataStore(pool, clock)
     return AcceleratedMetadataStore(
-        KVEngine(f"meta-{id(pool)}", clock), pool, clock
+        KVEngine(f"meta-{id(pool)}"), pool, clock
     )
 
 

@@ -117,7 +117,7 @@ def _build_lakehouse(context, lineitem_rows, orders_rows, supplier_rows,
     lake = Lakehouse(
         pool, DataBus(clock), clock,
         meta_store=AcceleratedMetadataStore(
-            KVEngine("meta", clock), pool, clock
+            KVEngine("meta"), pool, clock
         ),
         context=context,
     )

@@ -11,6 +11,11 @@ Two scenarios over an RS(4+2) pool on 8 simulated NVMe disks:
   verifying byte-identical results and measuring the reconstruction
   penalty (wall time, since GF(2^8) decode is real CPU in this repro).
 
+Each phase's simulated time is read from what that phase returns — the
+rebuild report's ``sim_seconds``, the summed costs of a scan's
+``pool.fetch`` calls — so no phase inherits another's (or the preload's)
+charges.  A degraded scan must cost at least the sim time of a clean one.
+
 Results land in ``BENCH_recovery.json`` with an ``env`` block (commit,
 Python/NumPy versions, cores available) so a changed number can be told
 apart from a changed machine; ``--smoke`` shrinks the data set for CI's
@@ -86,12 +91,10 @@ def _bench_rebuild(num_extents: int, extent_bytes: int) -> dict:
     queue = RebuildQueue(pool, bus, clock, op_timeout_s=120.0)
     degraded = queue.scan_and_enqueue()
 
-    sim_before = clock.now
     wall_before = time.perf_counter()
     report = queue.run()
-    clock.drain()  # settle charged disk/bus time into the timeline
     wall_s = time.perf_counter() - wall_before
-    sim_s = clock.now - sim_before
+    sim_s = report.sim_seconds
 
     if not pool.fully_redundant:
         raise AssertionError("rebuild did not restore full redundancy")
@@ -115,16 +118,16 @@ def _bench_rebuild(num_extents: int, extent_bytes: int) -> dict:
 
 
 def _timed_scan(pool, payloads) -> tuple[float, float]:
-    """Read every extent, verifying bytes; returns (sim s, wall s)."""
-    clock = pool._clock
-    sim_before = clock.now
+    """Read every extent back to back, verifying bytes; returns (sim s,
+    wall s), the sim time being the sum of the fetches' costs."""
+    sim_s = 0.0
     wall_before = time.perf_counter()
     for extent_id, expected in payloads.items():
-        data, _ = pool.fetch(extent_id)
+        data, cost = pool.fetch(extent_id)
         if data != expected:
             raise AssertionError(f"read of {extent_id} not byte-identical")
-    clock.drain()  # settle charged disk time into the timeline
-    return clock.now - sim_before, time.perf_counter() - wall_before
+        sim_s += cost
+    return sim_s, time.perf_counter() - wall_before
 
 
 def _bench_degraded_reads(num_extents: int, extent_bytes: int) -> dict:
@@ -143,6 +146,10 @@ def _bench_degraded_reads(num_extents: int, extent_bytes: int) -> dict:
     faults = stats.fault_stats()
     if faults.degraded_reads < 2 * num_extents:
         raise AssertionError("degraded scans were not actually degraded")
+    if not clean_sim <= one_sim <= two_sim:
+        raise AssertionError(
+            f"losing fragments made the scan cheaper: {clean_sim:.6f} clean, "
+            f"{one_sim:.6f} one lost, {two_sim:.6f} two lost sim-s")
     total_mb = num_extents * extent_bytes / 1e6
     return {
         "scanned_mb": total_mb,
@@ -187,13 +194,15 @@ def run_recovery_bench(num_extents: int = NUM_EXTENTS,
         f"{rebuild['wall_seconds']:.3f}",
         f"{rebuild['rebuild_mb_per_wall_s']:.0f}",
     )
-    for label, wall in (
-        ("scan, no loss", degraded["clean_wall_s"]),
-        ("scan, 1 fragment lost", degraded["one_lost_wall_s"]),
-        ("scan, 2 fragments lost", degraded["two_lost_wall_s"]),
+    for label, key in (
+        ("scan, no loss", "clean"),
+        ("scan, 1 fragment lost", "one_lost"),
+        ("scan, 2 fragments lost", "two_lost"),
     ):
+        wall = degraded[f"{key}_wall_s"]
         table.add_row(
-            label, f"{degraded['scanned_mb']:.0f}", "-",
+            label, f"{degraded['scanned_mb']:.0f}",
+            f"{degraded[f'{key}_sim_s']:.4f}",
             f"{wall:.3f}", f"{degraded['scanned_mb'] / wall:.0f}",
         )
     table.show()

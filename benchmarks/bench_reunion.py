@@ -84,7 +84,7 @@ def _build_stack() -> tuple[MessageStreamingService, Lakehouse, SimClock]:
     service = MessageStreamingService(plogs, bus, clock, num_workers=2)
     lakehouse = Lakehouse(
         pool, bus, clock,
-        meta_store=AcceleratedMetadataStore(KVEngine("meta", clock), pool,
+        meta_store=AcceleratedMetadataStore(KVEngine("meta"), pool,
                                             clock),
     )
     return service, lakehouse, clock

@@ -87,7 +87,7 @@ def build_streamlake(ssd_disks: int = 6, hdd_disks: int = 6,
     hdd_pool.add_disks(hdd_profile, hdd_disks)
     bus = DataBus(clock, transport=TransportKind.RDMA)
     plogs = PLogManager(ssd_pool, clock)
-    scm = SCMCache(clock, scm_cache_bytes) if scm_cache_bytes else None
+    scm = SCMCache(scm_cache_bytes) if scm_cache_bytes else None
     streaming = MessageStreamingService(
         plogs, bus, clock, num_workers=num_workers, scm_cache=scm,
         archive_pool=hdd_pool, slice_codec=slice_codec,
@@ -95,7 +95,7 @@ def build_streamlake(ssd_disks: int = 6, hdd_disks: int = 6,
     lakehouse = Lakehouse(
         hdd_pool, bus, clock,
         meta_store=AcceleratedMetadataStore(
-            KVEngine("meta-cache", clock), hdd_pool, clock
+            KVEngine("meta-cache"), hdd_pool, clock
         ),
     )
     tiering = TieringService(ssd_pool, hdd_pool, bus, clock)

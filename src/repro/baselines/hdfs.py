@@ -46,7 +46,7 @@ class HDFSCluster:
         self.replication_factor = replication_factor
         self.block_size = block_size
         self._datanodes = [
-            Disk(f"hdfs-dn-{i}", disk_profile, clock)
+            Disk(f"hdfs-dn-{i}", disk_profile)
             for i in range(num_datanodes)
         ]
         self._files: dict[str, _FileEntry] = {}

@@ -81,7 +81,7 @@ class KafkaCluster:
         self._clock = clock
         self.replication_factor = replication_factor
         self._brokers = [
-            _Broker(f"broker-{i}", Disk(f"kafka-disk-{i}", disk_profile, clock))
+            _Broker(f"broker-{i}", Disk(f"kafka-disk-{i}", disk_profile))
             for i in range(num_brokers)
         ]
         self._partitions: dict[tuple[str, int], _Partition] = {}
@@ -203,7 +203,7 @@ class KafkaCluster:
         """
         broker = _Broker(
             f"broker-{len(self._brokers)}",
-            Disk(f"kafka-disk-{len(self._brokers)}", disk_profile, self._clock),
+            Disk(f"kafka-disk-{len(self._brokers)}", disk_profile),
         )
         self._brokers.append(broker)
         fraction = (

@@ -284,7 +284,7 @@ class StreamLakePipeline:
         self.lakehouse = Lakehouse(
             self.hdd_pool, self.bus, self.clock,
             meta_store=AcceleratedMetadataStore(
-                KVEngine("meta-cache", self.clock), self.hdd_pool, self.clock
+                KVEngine("meta-cache"), self.hdd_pool, self.clock
             ),
             commit_protocol_s=commit_protocol_s,
         )

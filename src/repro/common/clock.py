@@ -1,31 +1,26 @@
 """Deterministic simulated clock.
 
-Every component in the reproduction charges its costs (disk seeks, network
-transfers, CPU work) against a shared :class:`SimClock` instead of reading
-the wall clock.  This keeps all reported latencies and throughputs
-deterministic and lets a multi-hour production scenario run in milliseconds.
+Every component in the reproduction costs its work (disk seeks, network
+transfers, CPU work) in simulated seconds instead of reading the wall
+clock.  This keeps all reported latencies and throughputs deterministic
+and lets a multi-hour production scenario run in milliseconds.
 
-The clock supports two styles of accounting:
-
-* ``advance(seconds)`` — serial time: the cluster as a whole is busy for
-  that long (e.g. a synchronous commit on the critical path).
-* ``charge(resource, seconds)`` — parallel time: accumulate busy-time on a
-  named resource (a disk, a NIC) without moving global time.  Benches that
-  model a parallel phase then advance global time by the *maximum* busy-time
-  across the resources involved (see :meth:`drain`).
+Simulated time is accounted one way: a component *returns* the cost of
+what it did (``Disk.read``, ``DataBus.transfer``, ``StoragePool.fetch``
+...), and the caller that knows how the work overlaps moves the shared
+:class:`SimClock` with :meth:`~SimClock.advance` — by the sum for serial
+work, or by :func:`lpt_makespan` for a wave of tasks run over a worker
+pool.  The clock itself keeps no per-resource state.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 
 class SimClock:
-    """A monotonically increasing simulated clock with per-resource meters."""
+    """A monotonically increasing simulated clock."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._busy: dict[str, float] = defaultdict(float)
 
     @property
     def now(self) -> float:
@@ -45,36 +40,12 @@ class SimClock:
             self._now = timestamp
         return self._now
 
-    def charge(self, resource: str, seconds: float) -> None:
-        """Accumulate ``seconds`` of busy-time against ``resource``."""
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time {seconds!r}")
-        self._busy[resource] += seconds
-
-    def busy_time(self, resource: str) -> float:
-        """Busy-time accumulated against ``resource`` since the last drain."""
-        return self._busy.get(resource, 0.0)
-
-    def drain(self, resources: list[str] | None = None) -> float:
-        """Advance global time by the max busy-time of a parallel phase.
-
-        Resets the drained meters.  When ``resources`` is None, drains every
-        metered resource.  Returns the elapsed (max) time.
-        """
-        names = list(self._busy) if resources is None else resources
-        elapsed = max((self._busy.get(name, 0.0) for name in names), default=0.0)
-        for name in names:
-            self._busy.pop(name, None)
-        self._now += elapsed
-        return elapsed
-
     def reset(self) -> None:
-        """Reset time to zero and clear all meters."""
+        """Reset time to zero."""
         self._now = 0.0
-        self._busy.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.6f}, meters={len(self._busy)})"
+        return f"SimClock(now={self._now:.6f})"
 
 
 def lpt_makespan(costs: list[float], parallelism: int) -> float:

@@ -9,7 +9,6 @@ aggregates, online stats and cache counters back into one answer that
 is value-identical to the single-shard oracle.
 """
 
-from repro.common.clock import lpt_makespan
 from repro.parallel.convert import ConversionWave, run_conversion_wave
 from repro.parallel.executor import ShardPool
 from repro.parallel.ingest import IngestWave, sharded_append_batch
@@ -35,7 +34,6 @@ __all__ = [
     "ShardTask",
     "ShardedQueryResult",
     "WorkPartitioner",
-    "lpt_makespan",
     "run_conversion_wave",
     "sharded_append_batch",
     "sharded_hash_join",

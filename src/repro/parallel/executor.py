@@ -27,9 +27,7 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
-from repro.common.clock import lpt_makespan
-
-__all__ = ["ShardPool", "lpt_makespan"]
+__all__ = ["ShardPool"]
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")

@@ -34,9 +34,8 @@ cost model.  One group commit becomes per-shard-owner *write waves*:
    seconds instead of their sum.
 
 Cost-model note: like the serial path, this function does *not* advance
-any clock — sim time propagates by return value, and disks charge their
-busy meters against the pool's own clock during placement (additive and
-order-independent, so meter totals match the serial oracle too).
+any clock — sim time propagates by return value, and the caller advances
+its clock by the wave's makespan.
 
 Acked-write semantics under tears: each partition is its own
 ``store_batch``, so a :class:`~repro.errors.TornWriteError` in partition
@@ -149,8 +148,9 @@ def sharded_append_batch(
         """One partition's write wave: encode, then place under the lock.
 
         Returns (sim cost, durable count, wall seconds).  A torn
-        partition reports its durable prefix instead of raising — the
-        driver reconciles the global acked set and raises once.
+        partition reports its durable prefix and no cost instead of
+        raising — the driver reconciles the global acked set and raises
+        once, so a torn wave's makespan is never used.
         """
         positions = work[index]
         part = [placements[position] for position in positions]
@@ -166,9 +166,7 @@ def sharded_append_batch(
                     cost = storage.store_batch(batch, fragments_per=fragments)
                     durable_count = len(batch)
                 except TornWriteError as exc:
-                    # read under the lock: another partition's wave would
-                    # overwrite last_batch_costs
-                    cost = sum(storage.last_batch_costs)
+                    cost = 0.0
                     durable_count = len(exc.durable)
         return cost, durable_count, time.perf_counter() - started
 

@@ -4,7 +4,7 @@ Section III: all nodes are interconnected by a high-speed data bus with
 RDMA support (bypassing the CPU and TCP/IP stack), intelligent stripe
 aggregation and I/O priority scheduling.
 
-The bus is a cost model: a transfer charges
+The bus is a cost model: a transfer returns the simulated seconds
 
     latency + size / bandwidth        (+ per-message CPU cost for TCP)
 
@@ -90,7 +90,8 @@ class DataBus:
     def __init__(self, clock: SimClock,
                  transport: TransportKind = TransportKind.RDMA,
                  aggregate_small_io: bool = True) -> None:
-        self._clock = clock
+        # ``clock`` stays in the signature for existing callers: the bus
+        # returns each transfer's cost and the caller advances the clock
         self.transport = transport
         self.profile = _PROFILES[transport]
         self.aggregate_small_io = aggregate_small_io
@@ -112,7 +113,7 @@ class DataBus:
 
     def inject_drops(self, count: int = 1) -> None:
         """Fault injection: the next ``count`` transfers are dropped in
-        flight (:class:`TransferDroppedError`), charging only latency."""
+        flight (:class:`TransferDroppedError`) before any bytes move."""
         if count < 0:
             raise ValueError(f"negative drop count {count!r}")
         self._drop_next += count
@@ -141,16 +142,14 @@ class DataBus:
         return self._partitioned
 
     def _check_faults(self) -> None:
-        """Raise (charging the wasted attempt latency) if the fabric is
-        partitioned or an injected drop consumes this transfer."""
+        """Raise if the fabric is partitioned or an injected drop
+        consumes this transfer."""
         if self._partitioned:
-            self._clock.charge("bus", self.profile.latency_s)
             raise NetworkPartitionedError("data bus is partitioned")
         if self._drop_next > 0:
             self._drop_next -= 1
             self.drops += 1
             stats.fault_stats().transfers_dropped += 1
-            self._clock.charge("bus", self.profile.latency_s)
             raise TransferDroppedError("transfer dropped in flight")
 
     @property
@@ -167,8 +166,8 @@ class DataBus:
         amortized over the batch.  Urgent requests always go immediately.
 
         ``timeout_s`` bounds one operation: if the wire time (including
-        any injected slow-link factor) would exceed it, the caller is
-        charged the timeout and gets a :class:`TransferTimeoutError`.
+        any injected slow-link factor) would exceed it, the caller gets a
+        :class:`TransferTimeoutError`.
         Injected drops and partitions raise before any bytes move.
         """
         if size < 0:
@@ -189,14 +188,12 @@ class DataBus:
         if timeout_s is not None and cost > timeout_s:
             self.timeouts += 1
             stats.fault_stats().transfer_timeouts += 1
-            self._clock.charge("bus", timeout_s)
             raise TransferTimeoutError(
                 f"transfer of {size} bytes needs {cost:.6f}s, "
                 f"timeout {timeout_s:.6f}s"
             )
         self.bytes_moved += size
         self.transfers += 1
-        self._clock.charge("bus", cost)
         return cost
 
     def flush_small_io(self) -> float:
@@ -210,9 +207,7 @@ class DataBus:
         self.transfers += 1
         self.aggregated_batches += 1
         # one latency + one bandwidth term for the whole batch
-        cost = self.profile.cost(total, messages=count) * self.slow_factor
-        self._clock.charge("bus", cost)
-        return cost
+        return self.profile.cost(total, messages=count) * self.slow_factor
 
     # --- priority scheduling -----------------------------------------------
 
@@ -239,5 +234,4 @@ class DataBus:
             elapsed += self.profile.cost(entry.size) * self.slow_factor
             self.transfers += 1
             completions.append((entry.description, elapsed))
-        self._clock.charge("bus", elapsed)
         return completions

@@ -1,7 +1,7 @@
 """Simulated block devices with latency/bandwidth cost models.
 
 A :class:`Disk` stores real bytes (so round-trip and corruption tests are
-meaningful) while charging simulated time for every access:
+meaningful) and returns the simulated time of every access:
 
     access_time = seek_latency + size / bandwidth
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.clock import SimClock
 from repro.common.units import GiB, MiB, TiB
 from repro.errors import CapacityError, DiskFailedError, SectorError
 
@@ -62,13 +61,13 @@ class Disk:
     """A single simulated device holding extent-addressed byte payloads.
 
     Payloads are keyed by caller-chosen extent ids; the disk only tracks
-    usage and charges time.  Allocation policy lives in the pool above.
+    usage and returns each access's cost.  Allocation policy lives in the
+    pool above.
     """
 
-    def __init__(self, disk_id: str, profile: DiskProfile, clock: SimClock) -> None:
+    def __init__(self, disk_id: str, profile: DiskProfile) -> None:
         self.disk_id = disk_id
         self.profile = profile
-        self._clock = clock
         self._extents: dict[str, bytes] = {}
         self._corrupt: set[str] = set()
         self._used = 0
@@ -138,9 +137,7 @@ class Disk:
         self._corrupt.discard(extent_id)  # rewriting remaps bad sectors
         self._used += delta
         self.bytes_written += len(payload)
-        cost = self.profile.write_cost(len(payload))
-        self._clock.charge(self.disk_id, cost)
-        return cost
+        return self.profile.write_cost(len(payload))
 
     def read(self, extent_id: str) -> tuple[bytes, float]:
         """Return (payload, simulated seconds) for ``extent_id``."""
@@ -149,15 +146,13 @@ class Disk:
             raise KeyError(f"disk {self.disk_id}: no extent {extent_id!r}")
         payload = self._extents[extent_id]
         self.bytes_read += len(payload)
-        cost = self.profile.read_cost(len(payload))
-        self._clock.charge(self.disk_id, cost)
         if extent_id in self._corrupt:
-            # the seek+transfer was paid before the checksum caught it
+            # the bytes were read before the checksum caught it
             raise SectorError(
                 f"disk {self.disk_id}: latent sector error under "
                 f"extent {extent_id!r}"
             )
-        return payload, cost
+        return payload, self.profile.read_cost(len(payload))
 
     def delete(self, extent_id: str) -> int:
         """Drop an extent, returning the bytes freed (0 if absent)."""

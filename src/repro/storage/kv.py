@@ -6,10 +6,13 @@ for RDMA and SCM", Section IV-B), the stream dispatcher's topology store
 (Section V-A) and the metadata-acceleration write cache (Section V-B).
 
 This engine is a sorted in-memory map with write-ahead-log cost accounting:
-every mutation charges a small constant cost (an RDMA round trip plus an
-SCM write), and reads charge an RDMA round trip.  The constant-cost lookup
-is exactly what makes Fig 15(a) flat for the accelerated path while the
-file-based catalog scales linearly with partition count.
+:meth:`KVEngine.put` returns a small constant cost (an RDMA round trip plus
+an SCM write).  Reads return no cost; a caller that models KV reads costs
+them at its call site in :data:`RDMA_ROUND_TRIP_S` units, as
+:meth:`~repro.table.metacache.AcceleratedMetadataStore.read_state_cost`
+does.  The constant-cost lookup is exactly what makes Fig 15(a) flat for
+the accelerated path while the file-based catalog scales linearly with
+partition count.
 
 Prefix scans are provided for catalog/manifest listings.
 """
@@ -19,25 +22,20 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterator
 
-from repro.common.clock import SimClock
-
 #: One RDMA round trip to the KV service (Section III: RDMA bus bypasses
 #: the CPU/TCP stack; single-digit microseconds).
 RDMA_ROUND_TRIP_S = 8e-6
 #: Persisting a small record to storage-class memory.
 SCM_WRITE_S = 2e-6
+#: One write-ahead-logged mutation: a round trip plus the SCM persist.
+KV_WRITE_S = RDMA_ROUND_TRIP_S + SCM_WRITE_S
 
 
 class KVEngine:
     """Sorted KV store with simulated RDMA/SCM access costs."""
 
-    def __init__(self, name: str, clock: SimClock,
-                 read_cost_s: float = RDMA_ROUND_TRIP_S,
-                 write_cost_s: float = RDMA_ROUND_TRIP_S + SCM_WRITE_S) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._clock = clock
-        self._read_cost = read_cost_s
-        self._write_cost = write_cost_s
         self._keys: list[str] = []
         #: writes append in O(1) and set this False when they land out of
         #: order; the first ordered read re-sorts once (lazy LSM-style
@@ -59,7 +57,7 @@ class KVEngine:
             self._sorted = True
 
     def put(self, key: str, value: object) -> float:
-        """Insert or overwrite; returns simulated seconds charged."""
+        """Insert or overwrite; returns the simulated seconds it costs."""
         if key not in self._data:
             self._keys.append(key)
             if (self._sorted and len(self._keys) > 1
@@ -67,13 +65,11 @@ class KVEngine:
                 self._sorted = False
         self._data[key] = value
         self.writes += 1
-        self._clock.charge(self.name, self._write_cost)
-        return self._write_cost
+        return KV_WRITE_S
 
     def get(self, key: str, default: object = None) -> object:
-        """Point lookup (constant cost regardless of store size)."""
+        """Point lookup (O(1) regardless of store size)."""
         self.reads += 1
-        self._clock.charge(self.name, self._read_cost)
         return self._data.get(key, default)
 
     def delete(self, key: str) -> bool:
@@ -84,20 +80,15 @@ class KVEngine:
         self._ensure_sorted()
         self._keys.pop(bisect_left(self._keys, key))
         self.writes += 1
-        self._clock.charge(self.name, self._write_cost)
         return True
 
     def scan(self, prefix: str) -> Iterator[tuple[str, object]]:
-        """Ordered iteration over keys starting with ``prefix``.
-
-        Cost: one round trip plus a per-row transfer term.
-        """
+        """Ordered iteration over keys starting with ``prefix``."""
         self._ensure_sorted()
         start = bisect_left(self._keys, prefix)
         end = bisect_right(self._keys, prefix + "￿")
         rows = self._keys[start:end]
         self.reads += 1
-        self._clock.charge(self.name, self._read_cost + len(rows) * 1e-7)
         for key in rows:
             yield key, self._data[key]
 
@@ -108,7 +99,6 @@ class KVEngine:
         end = bisect_left(self._keys, high)
         rows = self._keys[start:end]
         self.reads += 1
-        self._clock.charge(self.name, self._read_cost + len(rows) * 1e-7)
         for key in rows:
             yield key, self._data[key]
 

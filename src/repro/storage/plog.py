@@ -78,7 +78,7 @@ class PLogManager:
         self._clock = clock
         self.num_shards = num_shards
         self.address_space = address_space
-        self.index = index if index is not None else KVEngine("plog-index", clock)
+        self.index = index if index is not None else KVEngine("plog-index")
         self._active: dict[int, PLogUnit] = {}
         self._history: dict[int, list[PLogUnit]] = {}
         self.appends = 0

@@ -62,19 +62,15 @@ class StoragePool:
 
     def __init__(self, name: str, clock: SimClock,
                  policy: RedundancyPolicy | None = None) -> None:
+        # ``clock`` stays in the signature for existing callers: every
+        # access returns its cost and the caller advances the clock
         self.name = name
-        self._clock = clock
         self.policy = policy if policy is not None else Replication(3)
         self._disks: dict[str, Disk] = {}
         self._extents: dict[str, _ExtentMeta] = {}
         self._snapshots: dict[str, set[str]] = {}
         self._provisioned: dict[str, int] = {}
         self._torn_armings: list[int] = []
-        #: per-extent simulated seconds of the most recent
-        #: :meth:`store_batch` (durable prefix only when it tore) — callers
-        #: that overlap commits makespan-charge from these instead of the
-        #: summed return value.
-        self.last_batch_costs: list[float] = []
         self.stats = PoolStats()
 
     # --- membership -------------------------------------------------------
@@ -91,7 +87,7 @@ class StoragePool:
         created = []
         start = len(self._disks)
         for index in range(count):
-            disk = Disk(f"{prefix}-{start + index}", profile, self._clock)
+            disk = Disk(f"{prefix}-{start + index}", profile)
             self.add_disk(disk)
             created.append(disk)
         return created
@@ -135,12 +131,10 @@ class StoragePool:
         (amortizing EC matrix setup), then per-extent placement.
 
         Returns the summed simulated seconds — the *serial* cost model,
-        where extents land back-to-back on the device queue.  The
-        per-extent costs behind that sum are exposed in
-        :attr:`last_batch_costs` so callers that overlap commits (the
-        sharded committer in :mod:`repro.parallel.ingest`) can charge the
-        LPT makespan of their write waves instead of the sum; the summed
-        return value stays the equivalence oracle for those callers.
+        where extents land back-to-back on the device queue.  Callers that
+        overlap commits (the sharded committer in
+        :mod:`repro.parallel.ingest`) issue one call per write wave and
+        take the LPT makespan of the returned sums.
 
         ``fragments_per`` lets such callers pass in fragments they already
         encoded (e.g. per-partition, in a forked context); when omitted
@@ -153,8 +147,7 @@ class StoragePool:
         the tear, so callers never mistake lost-in-flight extents for
         acknowledged ones.  The tearing member itself is rolled back by
         :meth:`_place` (all-or-nothing per extent), so no partial extent
-        ever survives.  :attr:`last_batch_costs` then holds the durable
-        prefix's costs.
+        ever survives.
         """
         if fragments_per is None:
             fragments_per = self.policy.fragment_batch(
@@ -162,7 +155,6 @@ class StoragePool:
             )
         torn_after = self._torn_armings.pop(0) if self._torn_armings else None
         extent_costs: list[float] = []
-        self.last_batch_costs = extent_costs
         durable: list[str] = []
         for index, ((extent_id, payload), fragments) in enumerate(
             zip(items, fragments_per)
@@ -439,20 +431,7 @@ class StoragePool:
                 continue
             repaired_owners.add(physical)
             index = meta.disk_ids.index(disk_id)
-            fragments: list[bytes | None] = []
-            for owner_disk in meta.disk_ids:
-                peer = self._disks[owner_disk]
-                key = f"{physical}#{owner_disk}"
-                if peer.failed or not peer.has_extent(key):
-                    fragments.append(None)
-                    continue
-                try:
-                    payload, _ = peer.read(key)
-                except CorruptionError:
-                    stats.fault_stats().sector_errors_detected += 1
-                    fragments.append(None)
-                    continue
-                fragments.append(payload)
+            fragments, _, _ = self._read_survivors(meta, physical)
             fragment = self.policy.repair(fragments, index, meta.length)
             disk.write(f"{physical}#{disk_id}", fragment)
             rebuilt += 1
@@ -542,25 +521,13 @@ class StoragePool:
         return not self.missing_fragments()
 
     def scrub(self) -> dict[str, list[int]]:
-        """Read every live fragment to surface latent errors (charging the
-        read time), returning the same mapping :meth:`missing_fragments`
-        would — but discovered by I/O rather than by oracle."""
-        faults = stats.fault_stats()
+        """Read every live fragment to surface latent errors, returning the
+        same mapping :meth:`missing_fragments` would — but discovered by
+        I/O rather than by oracle."""
         out: dict[str, list[int]] = {}
-        for extent_id, disk_ids in self.fragment_locations().items():
-            owner = self._physical_owner(extent_id)
-            bad = []
-            for index, disk_id in enumerate(disk_ids):
-                disk = self._disks[disk_id]
-                key = f"{owner}#{disk_id}"
-                if disk.failed or not disk.has_extent(key):
-                    bad.append(index)
-                    continue
-                try:
-                    disk.read(key)
-                except CorruptionError:
-                    faults.sector_errors_detected += 1
-                    bad.append(index)
+        for extent_id in self.fragment_locations():
+            _, bad, _ = self._read_survivors(
+                self._extents[extent_id], self._physical_owner(extent_id))
             if bad:
                 out[extent_id] = bad
         return out
@@ -569,7 +536,7 @@ class StoragePool:
         """Logical byte length of a live extent (for rebuild sizing)."""
         return self._live_meta(extent_id).length
 
-    def rebuild_extent(self, extent_id: str) -> int:
+    def rebuild_extent(self, extent_id: str) -> tuple[int, float]:
         """Reconstruct one extent's lost/corrupt fragments onto healthy disks.
 
         Unlike :meth:`repair_disk` (whole-disk replacement), this targets a
@@ -578,7 +545,10 @@ class StoragePool:
         is alive (rewriting clears a latent error), otherwise onto another
         alive disk holding no fragment of this extent, with the placement
         metadata of the extent *and every clone sharing its fragments*
-        updated.  Returns fragments rebuilt (0 when already healthy).
+        updated.  Returns (fragments rebuilt, simulated seconds): the
+        slowest surviving-fragment read plus the slowest rebuilt-fragment
+        write, since each set runs in parallel across its disks.  An
+        already healthy extent returns 0 fragments and the read time.
         Raises :class:`UnrecoverableDataError` when more fragments are
         gone than the policy tolerates, and :class:`CapacityError` when no
         healthy disk can take a re-placed fragment.
@@ -586,25 +556,10 @@ class StoragePool:
         meta = self._live_meta(extent_id)
         owner = self._physical_owner(extent_id)
         faults = stats.fault_stats()
-        fragments: list[bytes | None] = []
-        lost: list[int] = []
-        for index, disk_id in enumerate(meta.disk_ids):
-            disk = self._disks[disk_id]
-            key = f"{owner}#{disk_id}"
-            if disk.failed or not disk.has_extent(key):
-                fragments.append(None)
-                lost.append(index)
-                continue
-            try:
-                payload, _ = disk.read(key)
-            except CorruptionError:
-                faults.sector_errors_detected += 1
-                fragments.append(None)
-                lost.append(index)
-                continue
-            fragments.append(payload)
+        fragments, lost, slowest_read = self._read_survivors(meta, owner)
         if not lost:
-            return 0
+            return 0, slowest_read
+        slowest_write = 0.0
         # clones share the owner's physical fragments: every extent pointing
         # at this owner (tombstoned ones included, so GC frees the fragments
         # at their new homes) must see the new placement
@@ -630,7 +585,10 @@ class StoragePool:
                         f"rebuilt fragment of {extent_id!r}"
                     )
                 target = candidates[0]
-            target.write(f"{owner}#{target.disk_id}", fragment)
+            slowest_write = max(
+                slowest_write,
+                target.write(f"{owner}#{target.disk_id}", fragment),
+            )
             for member in family:
                 member.disk_ids[index] = target.disk_id
             fragments[index] = fragment
@@ -639,4 +597,35 @@ class StoragePool:
             faults.fragments_reconstructed += 1
             faults.reconstructed_bytes += len(fragment)
         self.stats.rebuilds += 1
-        return len(lost)
+        return len(lost), slowest_read + slowest_write
+
+    def _read_survivors(
+        self, meta: _ExtentMeta, owner: str,
+    ) -> tuple[list[bytes | None], list[int], float]:
+        """Read every live fragment of one extent, in placement order.
+
+        Returns (fragments with ``None`` for each lost one, lost indices,
+        slowest read's simulated seconds).  A crashed disk, an erased
+        fragment and a latent sector error surfaced by the read all count
+        as lost; the last is counted in the fault stats.
+        """
+        fragments: list[bytes | None] = []
+        lost: list[int] = []
+        slowest = 0.0
+        for index, disk_id in enumerate(meta.disk_ids):
+            disk = self._disks[disk_id]
+            key = f"{owner}#{disk_id}"
+            if disk.failed or not disk.has_extent(key):
+                fragments.append(None)
+                lost.append(index)
+                continue
+            try:
+                payload, cost = disk.read(key)
+            except CorruptionError:
+                stats.fault_stats().sector_errors_detected += 1
+                fragments.append(None)
+                lost.append(index)
+                continue
+            fragments.append(payload)
+            slowest = max(slowest, cost)
+        return fragments, lost, slowest

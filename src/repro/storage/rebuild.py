@@ -5,7 +5,9 @@ fragments, the :class:`RebuildQueue` restores full redundancy in the
 background: degraded extents are queued, each op ships the surviving
 fragments over the data bus (at background priority, with a per-op
 timeout) and re-places the rebuilt fragments through
-:meth:`StoragePool.rebuild_extent`.
+:meth:`StoragePool.rebuild_extent`.  Ops run one after another, so the
+queue advances the clock by each transfer's and each rebuild's returned
+cost.
 
 Transient failures — dropped transfers, partitions, timeouts, a target
 disk dying mid-rebuild — retry with exponential backoff up to a bounded
@@ -52,6 +54,8 @@ class RebuildReport:
     retries: int = 0
     gave_up: list[str] = field(default_factory=list)
     unrecoverable: list[str] = field(default_factory=list)
+    #: clock time the drain took: each op's bus transfer, survivor reads
+    #: and rebuilt-fragment writes, plus retry backoffs
     sim_seconds: float = 0.0
 
 
@@ -111,8 +115,10 @@ class RebuildQueue:
                 # bus before reconstruction; partitions/drops/slow links
                 # surface here as typed transport errors
                 length = self.pool.extent_length(extent_id)
-                self.bus.transfer(length, timeout_s=self.op_timeout_s)
-                rebuilt = self.pool.rebuild_extent(extent_id)
+                self._clock.advance(
+                    self.bus.transfer(length, timeout_s=self.op_timeout_s))
+                rebuilt, cost = self.pool.rebuild_extent(extent_id)
+                self._clock.advance(cost)
             except ObjectNotFoundError:
                 # deleted while queued: nothing left to rebuild
                 self._queued.discard(extent_id)

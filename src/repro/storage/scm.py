@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable
 
-from repro.common.clock import SimClock
 from repro.common.units import GiB
 
 #: Reading a cached entry from persistent memory.
@@ -24,10 +23,9 @@ SCM_READ_S = 1.5e-6
 class SCMCache:
     """LRU cache with byte-capacity accounting and hit/miss meters."""
 
-    def __init__(self, clock: SimClock, capacity_bytes: int = 16 * GiB) -> None:
+    def __init__(self, capacity_bytes: int = 16 * GiB) -> None:
         if capacity_bytes <= 0:
             raise ValueError("cache capacity must be positive")
-        self._clock = clock
         self.capacity_bytes = capacity_bytes
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._used = 0
@@ -49,7 +47,6 @@ class SCMCache:
         if key in self._entries:
             self.hits += 1
             self._entries.move_to_end(key)
-            self._clock.charge("scm", SCM_READ_S)
             return self._entries[key], SCM_READ_S
         self.misses += 1
         payload, cost = loader()

@@ -28,9 +28,7 @@ class GroupCoordinator:
     def __init__(self, service: MessageStreamingService,
                  kv: KVEngine | None = None) -> None:
         self._service = service
-        self._kv = kv if kv is not None else KVEngine(
-            "group-coordinator", service.clock
-        )
+        self._kv = kv if kv is not None else KVEngine("group-coordinator")
         self._members: dict[str, list[str]] = {}
         self._topics: dict[str, list[str]] = {}
         self._generations: dict[str, int] = {}

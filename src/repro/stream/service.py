@@ -40,7 +40,7 @@ class MessageStreamingService:
         self.scm_cache = scm_cache
         self.objects = StreamObjectStore(plogs, clock, codec=slice_codec)
         self.dispatcher = StreamDispatcher(
-            KVEngine("dispatcher-meta", clock), clock
+            KVEngine("dispatcher-meta"), clock
         )
         self.transactions = TransactionManager(clock)
         self.archive = (

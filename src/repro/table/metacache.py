@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 
 from repro.common.clock import SimClock
 from repro.common.stats import cache_stats
-from repro.storage.kv import KVEngine
+from repro.storage.kv import RDMA_ROUND_TRIP_S, KVEngine
 from repro.storage.pool import StoragePool
 from repro.table.commit import CommitFile
 from repro.table.snapshot import Snapshot
@@ -168,7 +168,7 @@ class AcceleratedMetadataStore(MetadataStore):
         # catalog + snapshot from KV (constant), cached commits from KV
         # (constant per cached entry), merged files amortized: the flat
         # curve of Fig 15(a)
-        kv_cost = 3 * 8e-6
+        kv_cost = 3 * RDMA_ROUND_TRIP_S
         cached = min(num_commits, self.pending_commits(table_path))
         merged_files = max(0, num_commits - self.pending_commits(table_path))
         merged_reads = -(-merged_files // self.flush_threshold) if merged_files else 0

@@ -102,15 +102,6 @@ def count_tier_lookups(stats: QueryStats,
     return fold
 
 
-#: Makespan of I/O tasks over N workers — now shared with the sharded
-#: execution layer; see :func:`repro.common.clock.lpt_makespan`.  Used
-#: for both read waves (SELECT/compact fetches) and per-partition
-#: data-file write waves: the paper's conversion/compaction tasks write
-#: partitions concurrently, so wall time is the slowest worker's sum,
-#: not the total.
-_parallel_read_time = lpt_makespan
-
-
 class TableObject:
     """One lakehouse table: data files + commit/snapshot metadata."""
 
@@ -309,10 +300,11 @@ class TableObject:
         ]
 
     def _advance_writes(self, write_costs: list[float]) -> float:
-        """Charge a wave of data-file writes: makespan over the write
-        task pool (``write_parallelism``), like ``_parallel_read_time``
-        does for read tasks."""
-        cost = _parallel_read_time(write_costs, self.write_parallelism)
+        """Charge a wave of data-file writes: the LPT makespan over the
+        write task pool (``write_parallelism``), as read waves do over
+        ``read_parallelism`` — the paper's conversion/compaction tasks
+        write partitions concurrently."""
+        cost = lpt_makespan(write_costs, self.write_parallelism)
         self._clock.advance(cost)
         return cost
 
@@ -534,7 +526,7 @@ class TableObject:
         stats.chunk_cache_hits += cache.stats.hits - hits_before
         stats.chunk_cache_misses += cache.stats.misses - misses_before
         fold_tier_lookups()
-        stats.data_cost_s += _parallel_read_time(read_costs, read_parallelism)
+        stats.data_cost_s += lpt_makespan(read_costs, read_parallelism)
         if memory_budget_bytes is not None and not self.metadata_accelerated:
             # aggregates hold group partials, never rows, on the compute side
             held = len(state.groups) if state is not None else len(rows)
@@ -603,7 +595,7 @@ class TableObject:
         stats.chunk_cache_hits += cache.stats.hits - hits_before
         stats.chunk_cache_misses += cache.stats.misses - misses_before
         fold_tier_lookups()
-        stats.data_cost_s += _parallel_read_time(read_costs, read_parallelism)
+        stats.data_cost_s += lpt_makespan(read_costs, read_parallelism)
         self._clock.advance(stats.data_cost_s)
         if not parts:
             return ColumnSet.from_rows(self.schema, [], columns)
@@ -832,7 +824,7 @@ class TableObject:
                 columns[column.name] = [
                     value for part in parts for value in part
                 ]
-        cost = _parallel_read_time(read_costs, read_parallelism)
+        cost = lpt_makespan(read_costs, read_parallelism)
         new_meta, write_cost = self._write_columns_file(
             partition, columns, num_rows
         )
@@ -932,13 +924,13 @@ class Lakehouse:
             cache_hierarchy if cache_hierarchy is not None
             else default_hierarchy(context)
         )
-        kv = catalog_kv if catalog_kv is not None else KVEngine("catalog", clock)
+        kv = catalog_kv if catalog_kv is not None else KVEngine("catalog")
         self.catalog = Catalog(kv)
         self.meta_store = (
             meta_store
             if meta_store is not None
             else AcceleratedMetadataStore(
-                KVEngine("meta-cache", clock), pool, clock
+                KVEngine("meta-cache"), pool, clock
             )
         )
         self._row_group_size = row_group_size

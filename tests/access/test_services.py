@@ -7,22 +7,16 @@ from repro.access.auth import AccessControl, Action
 from repro.access.block import BLOCK_SIZE, BlockService
 from repro.access.nas import NASService
 from repro.access.object import S3ObjectService
-from repro.common.clock import SimClock
 from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.pool import StoragePool
 from repro.storage.replication import Replication
 
 
 @pytest.fixture
-def pool():
-    pool = StoragePool("p", SimClock(), policy=Replication(2))
+def pool(clock):
+    pool = StoragePool("p", clock, policy=Replication(2))
     pool.add_disks(NVME_SSD_PROFILE, 3)
     return pool
-
-
-@pytest.fixture
-def clock(pool):
-    return pool._clock
 
 
 # --- block service -----------------------------------------------------------

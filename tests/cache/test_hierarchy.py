@@ -46,7 +46,7 @@ def _stack(context: ExecutionContext, batches: int = 3,
         lake = Lakehouse(
             pool, bus, clock,
             meta_store=AcceleratedMetadataStore(
-                KVEngine("meta", clock), pool, clock
+                KVEngine("meta"), pool, clock
             ),
             context=context,
         )

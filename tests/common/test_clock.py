@@ -37,49 +37,8 @@ def test_advance_to_past_is_noop():
     assert clock.now == 10.0
 
 
-def test_charge_accumulates_per_resource():
-    clock = SimClock()
-    clock.charge("disk-a", 1.0)
-    clock.charge("disk-a", 2.0)
-    clock.charge("disk-b", 0.5)
-    assert clock.busy_time("disk-a") == 3.0
-    assert clock.busy_time("disk-b") == 0.5
-    assert clock.busy_time("disk-c") == 0.0
-
-
-def test_charge_rejects_negative():
-    with pytest.raises(ValueError):
-        SimClock().charge("x", -1.0)
-
-
-def test_drain_advances_by_max():
-    clock = SimClock()
-    clock.charge("a", 3.0)
-    clock.charge("b", 1.0)
-    elapsed = clock.drain(["a", "b"])
-    assert elapsed == 3.0
-    assert clock.now == 3.0
-    assert clock.busy_time("a") == 0.0
-
-
-def test_drain_all_when_unspecified():
-    clock = SimClock()
-    clock.charge("a", 2.0)
-    clock.charge("b", 5.0)
-    assert clock.drain() == 5.0
-    assert clock.now == 5.0
-
-
-def test_drain_empty_is_zero():
-    clock = SimClock()
-    assert clock.drain() == 0.0
-    assert clock.now == 0.0
-
-
 def test_reset():
     clock = SimClock()
     clock.advance(7.0)
-    clock.charge("a", 1.0)
     clock.reset()
     assert clock.now == 0.0
-    assert clock.busy_time("a") == 0.0

@@ -62,6 +62,6 @@ def lakehouse(ec_pool: StoragePool, bus: DataBus,
     return Lakehouse(
         ec_pool, bus, clock,
         meta_store=AcceleratedMetadataStore(
-            KVEngine("meta", clock), ec_pool, clock
+            KVEngine("meta"), ec_pool, clock
         ),
     )

@@ -66,7 +66,7 @@ def test_degraded_scan_is_byte_identical_and_cache_safe(lakehouse, ec_pool):
     # heal and scan again: still identical (the cache was not poisoned
     # by anything the degraded pass decoded)
     rebuilt = sum(
-        ec_pool.rebuild_extent(extent_id)
+        ec_pool.rebuild_extent(extent_id)[0]
         for extent_id in list(ec_pool.missing_fragments())
     )
     assert rebuilt > 0

@@ -26,7 +26,7 @@ def test_pool_capacity_exhaustion_is_clean():
                        read_bandwidth_bps=1e9, write_bandwidth_bps=1e9)
     pool = StoragePool("small", clock, policy=Replication(2))
     for index in range(2):
-        pool.add_disk(Disk(f"d{index}", tiny, clock))
+        pool.add_disk(Disk(f"d{index}", tiny))
     pool.store("fits", b"x" * 1000)
     with pytest.raises(CapacityError):
         pool.store("too-big", b"x" * 5000)

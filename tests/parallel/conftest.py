@@ -56,7 +56,7 @@ def build_table(context: ExecutionContext, batches: int = 6,
         lake = Lakehouse(
             pool, bus, clock,
             meta_store=AcceleratedMetadataStore(
-                KVEngine("meta", clock), pool, clock
+                KVEngine("meta"), pool, clock
             ),
             context=context,
         )

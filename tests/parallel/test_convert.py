@@ -41,7 +41,7 @@ def build_shard(index: int, messages: int = 90):
         ),
     ))
     lake = Lakehouse(pool, bus, clock, meta_store=AcceleratedMetadataStore(
-        KVEngine(f"meta{index}", clock), pool, clock
+        KVEngine(f"meta{index}"), pool, clock
     ))
     table = lake.create_table(
         f"t{index}", Schema.from_dict(SCHEMA_DICT), PartitionSpec(),

@@ -187,7 +187,7 @@ class BackpressureMachine(RuleBasedStateMachine):
         lake = Lakehouse(
             self.pool, self.bus, self.clock,
             meta_store=AcceleratedMetadataStore(
-                KVEngine("bp-meta", self.clock), self.pool, self.clock))
+                KVEngine("bp-meta"), self.pool, self.clock))
         self.table = lake.create_table(
             "bp", Schema.from_dict(SCHEMA_DICT), PartitionSpec(),
             path="tables/bp")

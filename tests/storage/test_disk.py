@@ -10,7 +10,7 @@ from repro.storage.disk import Disk, DiskProfile, HDD_PROFILE, NVME_SSD_PROFILE
 
 @pytest.fixture
 def disk():
-    return Disk("d0", NVME_SSD_PROFILE, SimClock())
+    return Disk("d0", NVME_SSD_PROFILE)
 
 
 def test_write_read_roundtrip(disk):
@@ -47,7 +47,7 @@ def test_read_missing_raises(disk):
 
 def test_capacity_enforced():
     tiny = DiskProfile("tiny", 10, 1e-3, 1e6, 1e6)
-    disk = Disk("t", tiny, SimClock())
+    disk = Disk("t", tiny)
     disk.write("a", b"12345678")
     with pytest.raises(CapacityError):
         disk.write("b", b"12345")
@@ -92,9 +92,12 @@ def test_accepts_sized_placeholder(disk):
 
 
 def test_clock_charged(disk):
-    clock = disk._clock
-    disk.write("a", b"x" * 1000)
-    assert clock.busy_time("d0") > 0
+    """The disk returns each access's cost; the caller advances a clock."""
+    clock = SimClock()
+    clock.advance(disk.write("a", b"x" * 1000))
+    clock.advance(disk.read("a")[1])
+    assert clock.now == pytest.approx(
+        NVME_SSD_PROFILE.write_cost(1000) + NVME_SSD_PROFILE.read_cost(1000))
 
 
 def test_bytes_counters(disk):

@@ -153,7 +153,7 @@ def test_repairs_are_not_counted_as_ingest_encodes():
     holders = [d for d in pool.disks if d.used_bytes > 0]
     with use_context(ExecutionContext(name="repair")) as context:
         holders[0].fail()
-        assert pool.rebuild_extent("k") == 1
+        assert pool.rebuild_extent("k")[0] == 1
         holders[1].fail()
         assert pool.repair_disk(holders[1].disk_id) == 1
     assert context.ingest.ec_encode_calls == 0
@@ -200,8 +200,8 @@ def test_failed_store_rolls_back_partial_fragments():
     roomy = DiskProfile("roomy", 10_000, 1e-6, 1e9, 1e9)
     tiny = DiskProfile("tiny", 100, 1e-6, 1e9, 1e9)
     pool = StoragePool("mixed", clock, policy=Replication(2))
-    pool.add_disk(Disk("big", roomy, clock))
-    pool.add_disk(Disk("small", tiny, clock))
+    pool.add_disk(Disk("big", roomy))
+    pool.add_disk(Disk("small", tiny))
     # the small disk is emptier, so it is chosen first and a 500-byte
     # replica fails there... but ordering may pick either; force failure
     # by exceeding the small disk only
@@ -214,16 +214,17 @@ def test_failed_store_rolls_back_partial_fragments():
 
 
 def test_store_batch_exposes_per_extent_costs():
-    """Satellite of the sharded committer: the summed return value stays
-    the serial oracle, but per-extent costs surface for makespan math."""
+    """The group commit's return value is the serial cost model: the sum
+    of what each extent costs stored on its own, on a twin pool."""
     pool = make_pool(erasure_coding_policy(4, 2))
+    twin = make_pool(erasure_coding_policy(4, 2))
     items = [(f"e{i}", bytes([i]) * (400 + 100 * i)) for i in range(5)]
     total = pool.store_batch(items)
-    assert len(pool.last_batch_costs) == len(items)
-    assert total == pytest.approx(sum(pool.last_batch_costs))
-    assert all(cost > 0 for cost in pool.last_batch_costs)
+    costs = [twin.store(extent_id, payload) for extent_id, payload in items]
+    assert all(cost > 0 for cost in costs)
     # bigger payloads cost more on a homogeneous pool
-    assert pool.last_batch_costs == sorted(pool.last_batch_costs)
+    assert costs == sorted(costs)
+    assert total == pytest.approx(sum(costs))
 
 
 def test_store_batch_accepts_precomputed_fragments():
@@ -246,7 +247,6 @@ def test_torn_store_batch_keeps_durable_prefix_costs():
     with pytest.raises(TornWriteError) as info:
         pool.store_batch(items)
     assert info.value.durable == ["e0", "e1"]
-    assert len(pool.last_batch_costs) == 2  # durable prefix only
 
 
 def test_arm_torn_commit_queues_fifo():

@@ -13,7 +13,7 @@ def loader_returning(payload, cost=1e-3):
 
 
 def test_miss_then_hit():
-    cache = SCMCache(SimClock(), capacity_bytes=1024)
+    cache = SCMCache(capacity_bytes=1024)
     payload, cost = cache.get("k", loader_returning(b"value"))
     assert payload == b"value"
     assert cost == 1e-3
@@ -25,7 +25,7 @@ def test_miss_then_hit():
 
 
 def test_hit_rate():
-    cache = SCMCache(SimClock(), capacity_bytes=1024)
+    cache = SCMCache(capacity_bytes=1024)
     cache.get("a", loader_returning(b"1"))
     cache.get("a", loader_returning(b"1"))
     cache.get("a", loader_returning(b"1"))
@@ -33,7 +33,7 @@ def test_hit_rate():
 
 
 def test_lru_eviction():
-    cache = SCMCache(SimClock(), capacity_bytes=10)
+    cache = SCMCache(capacity_bytes=10)
     cache.put("a", b"12345")
     cache.put("b", b"12345")
     cache.put("c", b"1")  # evicts "a" (least recently used)
@@ -43,7 +43,7 @@ def test_lru_eviction():
 
 
 def test_access_refreshes_lru_order():
-    cache = SCMCache(SimClock(), capacity_bytes=10)
+    cache = SCMCache(capacity_bytes=10)
     cache.put("a", b"12345")
     cache.put("b", b"12345")
     cache.get("a", loader_returning(b""))  # refresh "a"
@@ -52,20 +52,20 @@ def test_access_refreshes_lru_order():
 
 
 def test_oversized_payload_not_cached():
-    cache = SCMCache(SimClock(), capacity_bytes=4)
+    cache = SCMCache(capacity_bytes=4)
     cache.put("big", b"123456")
     assert cache.used_bytes == 0
 
 
 def test_overwrite_replaces_bytes():
-    cache = SCMCache(SimClock(), capacity_bytes=100)
+    cache = SCMCache(capacity_bytes=100)
     cache.put("a", b"12345678")
     cache.put("a", b"12")
     assert cache.used_bytes == 2
 
 
 def test_invalidate():
-    cache = SCMCache(SimClock(), capacity_bytes=100)
+    cache = SCMCache(capacity_bytes=100)
     cache.put("a", b"123")
     cache.invalidate("a")
     assert cache.used_bytes == 0
@@ -74,12 +74,13 @@ def test_invalidate():
 
 def test_zero_capacity_rejected():
     with pytest.raises(ValueError):
-        SCMCache(SimClock(), capacity_bytes=0)
+        SCMCache(capacity_bytes=0)
 
 
 def test_clock_charged_on_hit():
+    """A hit returns one SCM read for the caller to advance a clock by."""
     clock = SimClock()
-    cache = SCMCache(clock, capacity_bytes=100)
+    cache = SCMCache(capacity_bytes=100)
     cache.put("a", b"x")
-    cache.get("a", loader_returning(b""))
-    assert clock.busy_time("scm") == SCM_READ_S
+    clock.advance(cache.get("a", loader_returning(b""))[1])
+    assert clock.now == SCM_READ_S

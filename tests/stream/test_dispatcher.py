@@ -12,7 +12,7 @@ from repro.stream.dispatcher import StreamDispatcher
 @pytest.fixture
 def dispatcher():
     clock = SimClock()
-    dispatcher = StreamDispatcher(KVEngine("meta", clock), clock)
+    dispatcher = StreamDispatcher(KVEngine("meta"), clock)
     for index in range(3):
         dispatcher.register_worker(f"w{index}")
     return dispatcher
@@ -89,7 +89,7 @@ def test_remove_worker_reassigns_streams(dispatcher):
 
 def test_remove_last_worker_raises():
     clock = SimClock()
-    dispatcher = StreamDispatcher(KVEngine("meta", clock), clock)
+    dispatcher = StreamDispatcher(KVEngine("meta"), clock)
     dispatcher.register_worker("only")
     with pytest.raises(ValueError):
         dispatcher.remove_worker("only")
@@ -141,7 +141,7 @@ def test_dispatcher_recovers_from_kv_after_restart():
     """The topology survives a dispatcher crash: a fresh instance over the
     same fault-tolerant KV store serves the same routing answers."""
     clock = SimClock()
-    kv = KVEngine("meta", clock)
+    kv = KVEngine("meta")
     original = StreamDispatcher(kv, clock)
     for index in range(3):
         original.register_worker(f"w{index}")

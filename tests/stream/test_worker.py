@@ -21,7 +21,7 @@ def build(scm=False, quota=None):
     pool = StoragePool("p", clock, policy=Replication(2))
     pool.add_disks(NVME_SSD_PROFILE, 3)
     plogs = PLogManager(pool, clock)
-    cache = SCMCache(clock, 1 * GiB) if scm else None
+    cache = SCMCache(1 * GiB) if scm else None
     worker = StreamWorker("w0", DataBus(clock), clock, scm_cache=cache)
     obj = StreamObject("obj", plogs, clock)
     worker.attach_stream("t/0", obj, quota)

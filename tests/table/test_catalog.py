@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.clock import SimClock
 from repro.errors import TableExistsError, TableNotFoundError
 from repro.storage.kv import KVEngine
 from repro.table.catalog import Catalog
@@ -11,7 +10,7 @@ from repro.table.schema import Column, ColumnType, PartitionSpec, Schema
 
 @pytest.fixture
 def catalog():
-    return Catalog(KVEngine("catalog", SimClock()))
+    return Catalog(KVEngine("catalog"))
 
 
 SCHEMA = Schema([Column("x", ColumnType.INT64)])

@@ -20,7 +20,7 @@ def build(kind, flush_threshold=4):
         store = FileMetadataStore(pool, clock)
     else:
         store = AcceleratedMetadataStore(
-            KVEngine("kv", clock), pool, clock, flush_threshold=flush_threshold
+            KVEngine("kv"), pool, clock, flush_threshold=flush_threshold
         )
     return store, pool, clock
 
@@ -138,7 +138,7 @@ def test_invalid_flush_threshold():
     pool = StoragePool("p", clock, policy=Replication(2))
     pool.add_disks(HDD_PROFILE, 2)
     with pytest.raises(ValueError):
-        AcceleratedMetadataStore(KVEngine("k", clock), pool, clock,
+        AcceleratedMetadataStore(KVEngine("k"), pool, clock,
                                  flush_threshold=0)
 
 

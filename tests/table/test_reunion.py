@@ -56,7 +56,7 @@ def make_stack():
     lakehouse = Lakehouse(
         ec_pool, bus, clock,
         meta_store=AcceleratedMetadataStore(
-            KVEngine("meta", clock), ec_pool, clock
+            KVEngine("meta"), ec_pool, clock
         ),
     )
     return service, lakehouse, clock

@@ -52,7 +52,7 @@ def build_stack(topic: str, schema_dict: dict[str, str],
         ),
     ))
     lake = Lakehouse(pool, bus, clock, meta_store=AcceleratedMetadataStore(
-        KVEngine(f"{topic}-meta", clock), pool, clock))
+        KVEngine(f"{topic}-meta"), pool, clock))
     table = lake.create_table(
         topic, Schema.from_dict(schema_dict), PartitionSpec(),
         path=f"tables/{topic}")
